@@ -15,12 +15,14 @@ names (``spass``, ``e``, ``z3``, ``cvc3``, ``isabelle``, ``coq``) as aliases.
 
 Scaling knobs (mapped onto the Figure 7 command line, see ROADMAP):
 
-* ``workers=N`` dispatches the split sequents to a pool of N workers
-  (:class:`repro.provers.dispatcher.ParallelDispatcher`); ``workers=1``
-  (the default) keeps the classic sequential dispatcher and produces
-  identical outcomes and per-prover statistics.  The default thread
-  backend shares the GIL, so for multi-core speedup of these pure-Python
-  provers pass ``backend="process"`` as well.
+* ``workers=N`` runs each split sequent's prover chain on a pool of N
+  workers (:class:`repro.provers.dispatcher.ParallelDispatcher`);
+  ``workers=1`` (the default) runs the chains inline in the calling
+  thread.  Every executor goes through the same dispatch path — cache
+  scan, chain and merge — so outcomes and per-prover statistics do not
+  depend on ``workers`` or ``backend``.  The default thread backend shares
+  the GIL, so for multi-core speedup of these pure-Python provers pass
+  ``backend="process"`` as well.
 * ``cache=`` takes a :class:`repro.provers.cache.SequentCache`; proved (and
   refuted) sequents are memoised under their structural digest, so
   re-verifying a method, a class, or the whole suite replays prior verdicts
@@ -46,9 +48,7 @@ from ..provers.dispatcher import (
     DEFAULT_ORDER,
     DEFAULT_RACE_STAGGER,
     DispatchResult,
-    Dispatcher,
     ParallelDispatcher,
-    make_provers,
     resolve_prover_names,
 )
 from ..provers.ordering import ProverOrdering
@@ -149,26 +149,14 @@ def verify(
     names = resolve_prover_names(provers)
     if always_syntactic_first and "syntactic" not in names:
         names = ["syntactic"] + names
-    options = prover_options or {}
-    if dispatch is not None:
-        dispatcher = None
-    elif workers > 1:
-        dispatcher = ParallelDispatcher.from_names(
+    if dispatch is None:
+        dispatch = ParallelDispatcher.from_names(
             names, workers=workers, backend=backend, cache=cache,
             sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
             race=race, ordering=ordering, race_stagger=race_stagger,
-            **options,
-        )
-    else:
-        dispatcher = Dispatcher(
-            make_provers(names, **options), cache=cache,
-            sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
-            race=race, ordering=ordering, race_stagger=race_stagger,
-        )
-    if dispatch is not None:
-        dispatched = dispatch(method_vc.sequents)
-    else:
-        dispatched = dispatcher.prove_all(method_vc.sequents)
+            **(prover_options or {}),
+        ).prove_all
+    dispatched = dispatch(method_vc.sequents)
 
     report = MethodReport(
         class_name=class_name,

@@ -1,4 +1,5 @@
-"""The prover dispatchers: sequential and parallel, with result caching.
+"""The prover dispatcher: one dispatch path over an inline, thread or
+process executor, with result caching.
 
 This is the integrated-reasoning heart of the system (Sections 5.1-5.2): a
 verification condition is split into sequents, and every sequent is offered
@@ -8,42 +9,47 @@ sequents each prover attempted and proved and how much time it spent,
 including failed attempts — are collected for the Figure 7 / Figure 15
 reports.
 
-Splitting makes the workload embarrassingly parallel: sequents are
-independent proof obligations, so :class:`ParallelDispatcher` fans them out
-to a pool of workers (``workers=N``, thread- or process-backed) while
-keeping the merged :class:`DispatchResult` deterministic — outcomes are
-merged in the original sequent order and per-prover :class:`ProverStats`
-are recorded in exactly the sequence the sequential :class:`Dispatcher`
-would have used, so ``ParallelDispatcher(workers=1)`` is indistinguishable
-from ``Dispatcher`` (timings aside).
+Every batch goes through one ``prove_all``.  In the calling thread it runs,
+per sequent, the dedup pre-pass (``dedup=True``: structurally identical
+sequents are proved once and the verdict fanned out to the duplicates as
+replayed answers), the static tier (``static_tier=True``: sequents provable
+from dataflow facts alone resolve with the ``STATIC`` verdict), the learned
+ranking (``ordering=``, consulted when ``race >= 2``) and one scan of the
+:class:`repro.provers.cache.SequentCache`: every prover is looked up in
+chain order before any prover runs, and a cached ``PROVED`` anywhere in the
+chain settles the sequent.  The provers still open then run through one
+chain function, in waves of ``race`` (a wave of one is the classic
+fixed-order step), on an executor: inline in the calling thread, or on the
+thread or process pool that :class:`ParallelDispatcher` is lent or builds
+from ``workers``/``backend``.  Back in the calling thread the fresh answers
+are stored in the cache and the outcomes merged in sequent order, so
+outcomes, per-prover :class:`ProverStats` and cache counters do not depend
+on the executor.  (One exception: without ``dedup``, a sequent repeated in
+a batch replays the earlier copy's verdicts only inline, where each chain
+is stored before the next sequent's scan.)  Replayed answers count as
+cache hits and never as :class:`ProverStats` attempts (the prover did not
+run).
 
-Both dispatchers accept a :class:`repro.provers.cache.SequentCache`: before
-running a prover on a sequent, the cache is consulted under the sequent's
-structural digest (:meth:`repro.vcgen.sequent.Sequent.digest`) plus the
-prover name and options; hits replay the stored verdict for free and are
-*not* recorded in :class:`ProverStats` (the prover did not run).
-
-Per-sequent budgets are *enforced*: ``sequent_budget=T`` turns into a
-:class:`repro.provers.base.Deadline` shared by the whole prover chain of one
-sequent, and every prover runs under the earlier of that deadline and its
-own ``timeout`` (see the Deadline contract in :mod:`repro.provers.base`).
-A prover that exceeds its slice answers ``TIMEOUT`` and the chain falls
-through to the next prover; once the whole budget is gone the outcome is
-marked ``budget_exhausted``.
-
-Both dispatchers also accept ``dedup=True``: a pre-pass groups the batch by
-structural digest, proves one representative per group and fans its verdict
-back out to the duplicates as replayed (``cached``) answers — the same
-accounting a :class:`SequentCache` hit would produce, so outcomes, per-prover
-statistics and reports are identical to a no-dedup run against a warm cache,
-while the duplicate obligations cost nothing.
+Only two things differ between executors: how a task gets its portfolio
+(the dispatcher's own inline, one per worker thread, one per worker process)
+and how it gets its deadline.  Per-sequent budgets are *enforced*:
+``sequent_budget=T`` turns into a :class:`repro.provers.base.Deadline`
+shared by the whole chain of one sequent, bounded by the batch-level
+``deadline`` passed to ``prove_all``, and every prover runs under the
+earlier of that deadline and its own ``timeout`` (see the Deadline contract
+in :mod:`repro.provers.base`).  A Deadline cannot cross a process boundary,
+so process tasks receive the budget clipped to the batch deadline's slack
+at submit time instead.  A prover that exceeds its slice answers
+``TIMEOUT`` and the chain falls through to the next prover; once the whole
+budget is gone the outcome is marked ``budget_exhausted``.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -110,8 +116,9 @@ class SequentOutcome:
     answers: List[ProverAnswer] = field(default_factory=list)
     #: True when the per-sequent time budget ran out before the chain ended.
     budget_exhausted: bool = False
-    #: Contended racing waves run on this sequent (waves where >= 2 racers
-    #: actually started; single-starter waves are plain chain steps).
+    #: Contended racing waves run on this sequent (waves where racers' runs
+    #: overlapped; a wave whose racers ran one after another is a plain
+    #: chain step).
     raced: int = 0
     #: The prover whose PROVED answer won a contended wave (portfolio-order
     #: tie-break when several proved); ``None`` when the sequent was settled
@@ -146,11 +153,12 @@ class DispatchResult:
     #: Per-run cache counters (all zero when dispatched without a cache).
     cache_stats: CacheStats = field(default_factory=CacheStats)
     #: Wall-clock time of the dispatch and the CPU time spent inside provers;
-    #: for the sequential dispatcher the two coincide (modulo bookkeeping).
+    #: for inline dispatch the two coincide (modulo bookkeeping).
     wall_time: float = 0.0
     cpu_time: float = 0.0
     workers: int = 1
-    #: Fraction of the dispatch wall-time each worker spent proving.
+    #: Fraction of the dispatch wall-time a pool's workers spent proving, on
+    #: average (empty for inline dispatch).
     worker_utilization: Dict[str, float] = field(default_factory=dict)
     #: Sequents answered by the dedup pre-pass (a duplicate of an earlier
     #: sequent in the batch, by structural digest): their verdicts were fanned
@@ -216,7 +224,7 @@ class DispatchResult:
 
 
 # ---------------------------------------------------------------------------
-# Cross-method dedup pre-pass (shared by both dispatchers)
+# Cross-method dedup pre-pass
 # ---------------------------------------------------------------------------
 
 
@@ -267,7 +275,7 @@ def _replayed_outcome(sequent: Sequent, representative: SequentOutcome) -> Seque
 
 
 # ---------------------------------------------------------------------------
-# The static-discharge pre-pass (shared by both dispatchers)
+# The static-discharge pre-pass
 # ---------------------------------------------------------------------------
 
 
@@ -296,7 +304,7 @@ def _static_outcome(sequent: Sequent, reason: str) -> SequentOutcome:
 
 
 # ---------------------------------------------------------------------------
-# The prover chain on one sequent (shared by both dispatchers)
+# The prover chain on one sequent
 # ---------------------------------------------------------------------------
 
 
@@ -313,70 +321,6 @@ def _chain_deadline(
         return Deadline.never()
     return Deadline.after(sequent_budget)
 
-
-def _run_prover_chain(
-    provers: Sequence[Prover],
-    sequent: Sequent,
-    cache: Optional[SequentCache] = None,
-    sequent_budget: Optional[float] = None,
-    static: Optional["StaticDischarger"] = None,
-    deadline: Optional[Deadline] = None,
-) -> SequentOutcome:
-    """Offer one sequent to the provers in order, consulting the cache first.
-
-    ``sequent_budget`` becomes one :class:`Deadline` shared by the whole
-    chain: each prover runs under the earlier of the chain deadline and its
-    own timeout, so a stuck decision procedure is cut off mid-flight (a
-    cooperative ``TIMEOUT``) and the next prover still gets its turn while
-    budget remains.  An outer ``deadline`` (a request-level budget threaded
-    through the daemon's batch dispatch) bounds the chain further: once it
-    passes, remaining provers are skipped and the outcome is marked
-    ``budget_exhausted``.
-
-    ``static`` (the dispatcher's :class:`StaticDischarger`, when the static
-    tier is enabled) is consulted before the cache and before any prover: a
-    sequent provable from dataflow facts alone resolves with the ``STATIC``
-    verdict for free.
-    """
-    if static is not None:
-        reason = static.check(sequent)
-        if reason is not None:
-            return _static_outcome(sequent, reason)
-    outcome = SequentOutcome(sequent=sequent, proved=False)
-    deadline = _chain_deadline(sequent_budget, deadline)
-    for prover in provers:
-        if deadline.expired():
-            outcome.budget_exhausted = True
-            break
-        answer: Optional[ProverAnswer] = None
-        if cache is not None:
-            entry = cache.lookup(sequent, prover.name, prover.options_signature())
-            if entry is not None:
-                answer = entry.to_answer(prover.name)
-        if answer is None:
-            answer = prover.prove(sequent, deadline=deadline)
-            # A *truncated* TIMEOUT — the chain deadline left the prover less
-            # than its configured timeout (the option that keys the cache
-            # entry) — reflects the budget's remainder, not the prover, and
-            # storing it would poison later runs that grant the full budget.
-            # ``Prover.prove`` sets the flag from the slack it actually had,
-            # so a TIMEOUT that did get its whole configured budget is a
-            # genuine verdict and stays cacheable even under a sequent
-            # budget.  (This used to blanket-suppress every TIMEOUT whenever
-            # ``sequent_budget`` was set, so cold runs re-paid them forever.)
-            if cache is not None and not answer.truncated:
-                cache.store(sequent, prover.name, answer, prover.options_signature())
-        outcome.answers.append(answer)
-        if answer.proved:
-            outcome.proved = True
-            outcome.prover = prover.name
-            break
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# The racing prover chain (race=K dispatch mode, shared by both dispatchers)
-# ---------------------------------------------------------------------------
 
 #: Hedged-start delay between racers of one wave: racer ``i`` starts only
 #: after ``i * stagger`` seconds, and not at all if the wave has settled by
@@ -395,8 +339,8 @@ def _run_wave(
     sequent: Sequent,
     deadline: Deadline,
     stagger: float,
-) -> Tuple[List[Optional[ProverAnswer]], List[float], int]:
-    """Race one wave of provers on one sequent.
+) -> Tuple[List[Optional[ProverAnswer]], List[float], List[bool]]:
+    """Run one wave of provers on one sequent.
 
     Every racer runs under a copy of ``deadline`` sharing one cancellation
     token; the first racer to answer ``PROVED`` sets the token and the rest
@@ -410,17 +354,20 @@ def _run_wave(
 
     Returns the per-slot answers (``None`` for never-started racers), the
     per-slot time slice each started racer was granted (for the reclaimed-
-    CPU accounting of cancelled attempts), and how many racers started.
+    CPU accounting of cancelled attempts), and per slot whether the racer
+    ran while another racer was running.  A racer released by (b) after
+    the racers before it have answered ran alone, like a fixed-order step:
+    it did not contend for the interpreter.
     """
     if len(wave) == 1:
         prover = wave[0]
         slice_granted = min(deadline.remaining(), prover.timeout)
-        return [prover.prove(sequent, deadline=deadline)], [slice_granted], 1
+        return [prover.prove(sequent, deadline=deadline)], [slice_granted], [False]
 
     cancel = threading.Event()
     answers: List[Optional[ProverAnswer]] = [None] * len(wave)
     slices: List[float] = [0.0] * len(wave)
-    started: List[bool] = [False] * len(wave)
+    runs: List[Optional[Tuple[float, float]]] = [None] * len(wave)
     progress = threading.Condition()
     finished = [0]  # racers that have answered (proof or not), under progress
 
@@ -434,9 +381,12 @@ def _run_wave(
                 progress.wait(remaining)
         if cancel.is_set():
             return  # a rival settled the sequent before this hedge fired
-        started[slot] = True
         slices[slot] = min(deadline.remaining(), prover.timeout)
+        started = time.monotonic()
         answer = prover.prove(sequent, deadline=deadline.with_cancel(cancel))
+        # The run ends before ``finished`` counts it, so a racer released
+        # by that count starts no earlier than this end.
+        runs[slot] = (started, time.monotonic())
         answers[slot] = answer
         with progress:
             finished[0] += 1
@@ -457,93 +407,63 @@ def _run_wave(
         thread.start()
     for thread in threads:
         thread.join()
-    return answers, slices, sum(started)
+    overlapped = [
+        mine is not None
+        and any(
+            other is not None and slot != rival and mine[0] < other[1] and other[0] < mine[1]
+            for rival, other in enumerate(runs)
+        )
+        for slot, mine in enumerate(runs)
+    ]
+    return answers, slices, overlapped
 
 
 def _race_prover_chain(
     provers: Sequence[Prover],
     sequent: Sequent,
-    race: int,
-    cache: Optional[SequentCache] = None,
-    sequent_budget: Optional[float] = None,
-    static: Optional["StaticDischarger"] = None,
-    ordering: Optional["ProverOrdering"] = None,
-    stagger: float = DEFAULT_RACE_STAGGER,
+    race: int = 1,
     deadline: Optional[Deadline] = None,
+    stagger: float = DEFAULT_RACE_STAGGER,
 ) -> SequentOutcome:
-    """Offer one sequent to the portfolio in racing mode (``race >= 2``).
-
-    The chain runs in *waves*: the cache is scanned once over the whole
-    learned order (any cached ``PROVED`` settles the sequent without racing
-    anything), then the remaining provers race in groups of up to ``race``
-    — concurrently, under one shared cancellation token — with the order
-    chosen by ``ordering`` (portfolio order when no table is given or the
-    table has nothing for this sequent's feature bucket).
+    """Offer one sequent to ``provers`` — its still-open provers, in chain
+    order — in waves of ``race``.  This is the one chain function of every
+    executor; a wave of one is the fixed-order step.
 
     A wave with no ``PROVED`` answer falls through to the next, so every
-    prover still gets its turn and the set of provable sequents is exactly
-    the fixed-order chain's.  When several racers prove, the *wave-order*
-    (learned rank, portfolio tie-break) answer wins — completion order
-    never decides, so attribution is reproducible.  ``TIMEOUT`` answers
-    from contended waves are marked ``truncated`` (racers share the
-    interpreter, so a wall-clock timeout under contention says nothing a
-    cache entry should remember); cancelled attempts yield ``CANCELLED``
-    answers that are never cached and never counted as cache misses.
+    prover still gets its turn and the set of provable sequents does not
+    depend on ``race``.  When several racers prove, the *wave-order* answer
+    wins — completion order never decides, so attribution is reproducible.
+    A wave counts as a race (``raced``, ``race_won_by``) only when racers
+    actually ran at the same time.  ``TIMEOUT`` answers of such racers are
+    marked ``truncated`` (racers share the interpreter, so a wall-clock
+    timeout under contention says nothing a cache entry should remember);
+    cancelled attempts yield ``CANCELLED`` answers.  Once ``deadline`` has
+    passed the remaining waves are skipped and the outcome is marked
+    ``budget_exhausted``.
+
+    The chain never touches the cache: the dispatcher scans it before and
+    stores the returned answers after, in the calling thread.
     """
-    if static is not None:
-        reason = static.check(sequent)
-        if reason is not None:
-            return _static_outcome(sequent, reason)
+    if deadline is None:
+        deadline = Deadline.never()
     outcome = SequentOutcome(sequent=sequent, proved=False)
-    deadline = _chain_deadline(sequent_budget, deadline)
-    if ordering is not None:
-        order = ordering.rank(sequent, [prover.name for prover in provers])
-    else:
-        order = list(range(len(provers)))
-
-    # Cache scan over the ranked order: replayed verdicts cost nothing, so
-    # every cached answer is collected up front and a cached PROVED wins
-    # outright — racing only ever spends CPU on genuinely open provers.
-    live: List[Prover] = []
-    for index in order:
-        prover = provers[index]
-        if cache is not None:
-            entry = cache.lookup(sequent, prover.name, prover.options_signature())
-            if entry is not None:
-                answer = entry.to_answer(prover.name)
-                outcome.answers.append(answer)
-                if answer.proved:
-                    outcome.proved = True
-                    outcome.prover = prover.name
-                    return outcome
-                continue
-        live.append(prover)
-
-    position = 0
-    while position < len(live):
+    for position in range(0, len(provers), race):
         if deadline.expired():
             outcome.budget_exhausted = True
             break
-        wave = live[position:position + race]
-        position += len(wave)
-        answers, slices, started_count = _run_wave(wave, sequent, deadline, stagger)
-        contended = started_count >= 2
+        wave = provers[position:position + race]
+        answers, slices, overlapped = _run_wave(wave, sequent, deadline, stagger)
+        contended = any(overlapped)
         if contended:
             outcome.raced += 1
         winner: Optional[ProverAnswer] = None
-        for slot, prover in enumerate(wave):
-            answer = answers[slot]
+        for slot, answer in enumerate(answers):
             if answer is None:
                 continue  # hedge never fired: not an attempt, no record
-            if contended and answer.verdict is Verdict.TIMEOUT:
-                # Racers share the interpreter: a wall-clock deadline under
-                # contention clips real work, so the verdict reflects the
-                # race, not the configured budget — never cache it.
+            if overlapped[slot] and answer.verdict is Verdict.TIMEOUT:
                 answer.truncated = True
             if answer.verdict is Verdict.CANCELLED:
                 outcome.reclaimed += max(0.0, slices[slot] - answer.time)
-            elif cache is not None and not answer.truncated:
-                cache.store(sequent, prover.name, answer, prover.options_signature())
             outcome.answers.append(answer)
             if winner is None and answer.proved:
                 winner = answer
@@ -604,16 +524,13 @@ def _record_answer(result: DispatchResult, answer: ProverAnswer, cache_enabled: 
 
 
 def _merge_outcomes(
-    result: DispatchResult,
-    outcomes: Sequence[SequentOutcome],
-    stop_on_failure: bool,
-    cache_enabled: bool,
+    result: DispatchResult, outcomes: Sequence[SequentOutcome], cache_enabled: bool
 ) -> None:
-    """Fold worker outcomes into ``result`` in the original sequent order.
+    """Fold outcomes into ``result`` in the original sequent order.
 
-    Statistics are recorded answer by answer in exactly the order the
-    sequential dispatcher would have produced, which keeps per-prover
-    attempted/proved/time identical between backends.
+    Statistics are recorded answer by answer in sequent order, whatever
+    executor produced the outcomes, which keeps per-prover
+    attempted/proved/time identical between executors.
     """
     for outcome in outcomes:
         result.outcomes.append(outcome)
@@ -625,28 +542,73 @@ def _merge_outcomes(
             result.race_wins[outcome.race_won_by] = (
                 result.race_wins.get(outcome.race_won_by, 0) + 1
             )
-        if stop_on_failure and not outcome.proved:
-            break
+
+
+# ---------------------------------------------------------------------------
+# The dispatcher
+# ---------------------------------------------------------------------------
+
+
+#: Per-worker-process portfolio cache: building provers once per process
+#: instead of once per sequent task keeps per-task overhead negligible for
+#: fine-grained sequents.
+_PROCESS_PORTFOLIOS: Dict[Tuple, List[Prover]] = {}
+
+
+def _process_chain(
+    payload: Tuple[Sequence[str], dict, List[int], Sequent, Optional[float], int, float]
+) -> SequentOutcome:
+    """The chain task of a process-pool worker (top-level, so picklable).
+
+    The portfolio comes from the per-process cache above; ``open_`` lists
+    the portfolio indices of the provers still open, in chain order.  The
+    deadline is rebuilt from ``budget``, the sequent budget the parent
+    clipped to its batch deadline at submit time: a Deadline's monotonic
+    expiry instant cannot cross the process boundary.
+    """
+    names, options, open_, sequent, budget, race, stagger = payload
+    key = (tuple(names), repr(sorted(options.items())))
+    provers = _PROCESS_PORTFOLIOS.get(key)
+    if provers is None:
+        provers = _PROCESS_PORTFOLIOS[key] = make_provers(names, **options)
+    chain = [provers[index] for index in open_]
+    return _race_prover_chain(chain, sequent, race, _chain_deadline(budget, None), stagger)
+
+
+#: What the first pass of ``prove_all`` leaves per sequent: ``None`` for a
+#: dedup duplicate, a settled outcome, or the replayed answers plus the
+#: pool future of the open provers' chain.
+_Slot = Union[None, SequentOutcome, Tuple[List[ProverAnswer], Future]]
 
 
 class Dispatcher:
-    """Runs the prover portfolio over sequents sequentially, in order.
+    """Runs the prover portfolio ``provers`` over batches of sequents, each
+    sequent's chain inline in the calling thread.
 
-    ``dedup=True`` enables the digest-grouping pre-pass: one representative
-    per group of structurally identical sequents is proved and its verdict
-    replayed for the duplicates.
+    ``cache=`` is consulted before any prover runs and stores every fresh
+    verdict except budget-truncated ``TIMEOUT``s and ``CANCELLED`` racers.
+    ``sequent_budget=T`` bounds (and enforces) the time one sequent's chain
+    may take.  ``dedup=True`` enables the digest-grouping pre-pass: one
+    representative per group of structurally identical sequents is proved
+    and its verdict replayed for the duplicates.
 
     ``static_tier=True`` enables the static-discharge pre-pass
     (:class:`repro.analysis.discharge.StaticDischarger`): sequents provable
     from dataflow facts alone — trivially true goals, goals structurally
     equal to an assumption, infeasible paths — resolve with the ``STATIC``
     verdict before the cache or any prover is consulted.
+
+    ``race >= 2`` runs the open provers in waves of ``race`` concurrent
+    racers ranked by the learned ``ordering`` (portfolio order without
+    one); the first PROVED answer, wave order breaking ties, wins.
     """
+
+    #: No pool: :class:`ParallelDispatcher` sets its own per instance.
+    workers = 1
 
     def __init__(
         self,
         provers: Sequence[Prover],
-        stop_on_failure: bool = False,
         cache: Optional[SequentCache] = None,
         sequent_budget: Optional[float] = None,
         dedup: bool = False,
@@ -656,18 +618,16 @@ class Dispatcher:
         race_stagger: float = DEFAULT_RACE_STAGGER,
     ) -> None:
         self.provers = list(provers)
-        self.stop_on_failure = stop_on_failure
         self.cache = cache
         self.sequent_budget = sequent_budget
         self.dedup = dedup
+        # The static pre-pass runs in the calling thread, before any task
+        # is submitted, so the discharger's counters stay single-threaded.
         self.static = _make_static_tier(static_tier)
-        #: ``race >= 2`` switches every non-cached, non-static sequent to the
-        #: racing chain (:func:`_race_prover_chain`): the top-``race``
-        #: provers by the learned ``ordering`` run concurrently and the
-        #: first PROVED answer (wave order breaking ties) wins.
         self.race = max(1, int(race))
         self.ordering = ordering
         self.race_stagger = race_stagger
+        self._by_name = {prover.name: prover for prover in self.provers}
 
     @classmethod
     def from_names(
@@ -685,138 +645,168 @@ class Dispatcher:
             race_stagger=race_stagger,
         )
 
-    def _chain(
-        self, sequent: Sequent, deadline: Optional[Deadline] = None
-    ) -> SequentOutcome:
-        if self.race > 1:
-            return _race_prover_chain(
-                self.provers,
-                sequent,
-                self.race,
-                self.cache,
-                self.sequent_budget,
-                self.static,
-                ordering=self.ordering,
-                stagger=self.race_stagger,
-                deadline=deadline,
-            )
-        return _run_prover_chain(
-            self.provers,
-            sequent,
-            self.cache,
-            self.sequent_budget,
-            self.static,
-            deadline=deadline,
-        )
-
-    def prove_sequent(self, sequent: Sequent, result: DispatchResult) -> SequentOutcome:
-        """Prove one sequent, recording stats into ``result`` (legacy API)."""
-        outcome = self._chain(sequent)
-        for answer in outcome.answers:
-            _record_answer(result, answer, self.cache is not None)
-        return outcome
-
     def prove_all(
         self, sequents: Sequence[Sequent], deadline: Optional[Deadline] = None
     ) -> DispatchResult:
-        """Prove a batch in order.  ``deadline`` is an optional *batch-level*
-        bound (e.g. a request budget): every sequent's chain runs under the
-        earlier of it and the per-sequent budget, and sequents reached after
-        it passes come back unproved with ``budget_exhausted``."""
-        result = DispatchResult()
+        """Prove a batch; outcomes come back in sequent order.
+
+        ``deadline`` is an optional *batch-level* bound (e.g. a request
+        budget): every sequent's chain runs under the earlier of it and the
+        per-sequent budget, and sequents reached after it passes come back
+        unproved with ``budget_exhausted``.
+        """
+        result = DispatchResult(workers=self.workers)
         start = time.perf_counter()
         rep = _dedup_representatives(sequents) if self.dedup else None
+        pool, owned = self._open_pool()
         outcomes: List[SequentOutcome] = []
-        for index, sequent in enumerate(sequents):
-            if rep is not None and rep[index] != index:
-                outcome = _replayed_outcome(sequent, outcomes[rep[index]])
-                result.dedup_replayed += 1
-            else:
-                outcome = self._chain(sequent, deadline)
-            outcomes.append(outcome)
-            if self.stop_on_failure and not outcome.proved:
-                break
-        _merge_outcomes(result, outcomes, self.stop_on_failure, self.cache is not None)
+        try:
+            # Pass 1 settles what needs no prover and starts the rest.
+            # Inline chains finish (and store their answers) before the next
+            # sequent's cache scan; pool chains run while the scan goes on.
+            slots: List[_Slot] = [
+                None
+                if rep is not None and rep[index] != index
+                else self._start(pool, sequent, deadline)
+                for index, sequent in enumerate(sequents)
+            ]
+            # Pass 2 collects the pool's chains and fans out duplicates.
+            for index, (sequent, slot) in enumerate(zip(sequents, slots)):
+                if slot is None:
+                    outcome = _replayed_outcome(sequent, outcomes[rep[index]])
+                    result.dedup_replayed += 1
+                elif isinstance(slot, SequentOutcome):
+                    outcome = slot
+                else:
+                    cached, future = slot
+                    outcome = self._settle(sequent, cached, future.result())
+                outcomes.append(outcome)
+        finally:
+            if owned:
+                pool.shutdown(wait=True)
+        _merge_outcomes(result, outcomes, self.cache is not None)
         _observe_outcomes(self.ordering, outcomes)
-        result.total_time = time.perf_counter() - start
-        result.wall_time = result.total_time
+        result.total_time = result.wall_time = time.perf_counter() - start
+        if pool is not None and result.wall_time > 0:
+            # The pool does not reveal which worker ran a task: report the
+            # average busy fraction, the batch's prover time spread across
+            # the pool.
+            result.worker_utilization = {
+                f"{self.backend}-pool-avg": result.cpu_time / self.workers / result.wall_time
+            }
         return result
 
+    def _open_pool(self) -> Tuple[Optional[Executor], bool]:
+        """The executor of one batch and whether ``prove_all`` owns it:
+        none, so every chain runs inline."""
+        return None, False
 
-# ---------------------------------------------------------------------------
-# Parallel dispatch
-# ---------------------------------------------------------------------------
+    def _start(
+        self, pool: Optional[Executor], sequent: Sequent, deadline: Optional[Deadline]
+    ) -> _Slot:
+        """Settle ``sequent`` from the static tier or the cache, or run its
+        open provers: inline when ``pool`` is None, else as a pool task."""
+        if self.static is not None:
+            reason = self.static.check(sequent)
+            if reason is not None:
+                return _static_outcome(sequent, reason)
+        cached, open_ = self._scan_cache(sequent)
+        if not open_:
+            return self._settle(sequent, cached, SequentOutcome(sequent=sequent, proved=False))
+        live = self._run(pool, sequent, open_, deadline)
+        if isinstance(live, SequentOutcome):
+            return self._settle(sequent, cached, live)
+        return cached, live
 
-
-#: Per-worker-process portfolio cache: building provers once per process
-#: instead of once per sequent task keeps per-task overhead negligible for
-#: fine-grained sequents.
-_PROCESS_PORTFOLIOS: Dict[Tuple, List[Prover]] = {}
-
-
-def _process_worker_chain(
-    payload: Tuple[
-        Sequence[str], dict, Optional[float], Sequent, int, int,
-        Optional[Sequence[int]], float,
-    ]
-) -> SequentOutcome:
-    """Top-level function (picklable) executed inside process-pool workers.
-
-    ``start`` skips the provers whose verdicts the parent already replayed
-    from its cache (the cached prefix of the chain).  With ``race >= 2``
-    the worker races instead: ``order`` lists the portfolio indices of the
-    provers still open for this sequent, already in learned-rank order (the
-    parent ranks and cache-scans; the ordering table and the cache both
-    live in the parent), and the worker runs the racing chain over exactly
-    those provers with its own in-process racer threads.
-    """
-    names, options, sequent_budget, sequent, start, race, order, stagger = payload
-    key = (tuple(names), repr(sorted(options.items())))
-    provers = _PROCESS_PORTFOLIOS.get(key)
-    if provers is None:
-        provers = make_provers(names, **options)
-        _PROCESS_PORTFOLIOS[key] = provers
-    if race > 1:
-        chain = [provers[index] for index in (order or range(len(provers)))]
+    def _run(
+        self,
+        pool: Optional[Executor],
+        sequent: Sequent,
+        open_: List[int],
+        deadline: Optional[Deadline],
+    ) -> Union[SequentOutcome, Future]:
+        """Run the chain of the open provers (portfolio indices, in chain
+        order) inline, on this dispatcher's own portfolio."""
         return _race_prover_chain(
-            chain, sequent, race, cache=None, sequent_budget=sequent_budget,
-            stagger=stagger,
+            [self.provers[index] for index in open_], sequent, self.race,
+            _chain_deadline(self.sequent_budget, deadline), self.race_stagger,
         )
-    return _run_prover_chain(
-        provers[start:], sequent, cache=None, sequent_budget=sequent_budget
-    )
+
+    def _scan_cache(self, sequent: Sequent) -> Tuple[List[ProverAnswer], List[int]]:
+        """The one cache scan: every prover is looked up, in chain order,
+        before any prover runs.
+
+        Returns the replayed answers and the portfolio indices of the
+        provers still open, in chain order.  A cached ``PROVED`` anywhere
+        in the chain settles the sequent (nothing is left open).  The chain
+        order is the portfolio's, or the learned ordering's ranking when
+        racing.
+        """
+        if self.ordering is not None and self.race > 1:
+            order = self.ordering.rank(sequent, [prover.name for prover in self.provers])
+        else:
+            order = list(range(len(self.provers)))
+        cached: List[ProverAnswer] = []
+        open_: List[int] = []
+        for index in order:
+            prover = self.provers[index]
+            entry = (
+                self.cache.lookup(sequent, prover.name, prover.options_signature())
+                if self.cache is not None
+                else None
+            )
+            if entry is None:
+                open_.append(index)
+                continue
+            cached.append(entry.to_answer(prover.name))
+            if entry.verdict is Verdict.PROVED:
+                return cached, []
+        return cached, open_
+
+    def _settle(
+        self, sequent: Sequent, cached: List[ProverAnswer], live: SequentOutcome
+    ) -> SequentOutcome:
+        """Store the chain's fresh answers and put the replayed ones first.
+
+        A *truncated* ``TIMEOUT`` — the deadline left the prover less than
+        its configured timeout, or it contended with a racer — reflects the
+        budget or the race, not the prover, and storing it would poison
+        later runs; ``CANCELLED`` says nothing about the sequent.  Neither
+        is stored.
+        """
+        live.sequent = sequent  # a process worker returns a copy
+        if self.cache is not None:
+            for answer in live.answers:
+                if not answer.truncated and answer.verdict is not Verdict.CANCELLED:
+                    prover = self._by_name[answer.prover]
+                    self.cache.store(sequent, prover.name, answer, prover.options_signature())
+        live.answers[:0] = cached
+        if cached and cached[-1].proved:
+            live.proved = True
+            live.prover = cached[-1].prover
+        return live
 
 
-class ParallelDispatcher:
-    """Fans sequents out to a worker pool; the merge is deterministic.
+class ParallelDispatcher(Dispatcher):
+    """A :class:`Dispatcher` whose chains run on a worker pool.
 
-    ``backend="thread"`` (the default) shares one process: each worker thread
-    instantiates its own prover portfolio (provers may carry mutable state,
-    e.g. the interactive lemma store) and consults the shared, lock-protected
-    :class:`SequentCache` directly.  Note that the bundled provers are pure
+    ``backend="thread"`` (the default) shares one process: each worker
+    thread builds its own prover portfolio once (provers may carry mutable
+    state, e.g. the interactive lemma store).  The bundled provers are pure
     Python, so under the GIL the thread backend overlaps little CPU-bound
-    prover work — it buys cache sharing, deterministic structure and cheap
-    workers, not wall-clock speedup.  For true multi-core scaling use
-    ``backend="process"``.
+    prover work; for true multi-core scaling use ``backend="process"``,
+    which needs construction via :meth:`from_names` so worker processes can
+    rebuild the portfolio.
 
-    ``backend="process"`` runs each sequent's prover chain in a separate
-    process (requires construction via :meth:`from_names` so the portfolio
-    can be rebuilt inside workers).  The cache then lives in the parent:
-    sequents whose whole chain is answered by the cache are never submitted,
-    and worker results are stored back on merge.
-
-    Whatever the backend, outcomes are merged in the original sequent order
-    and per-prover statistics are recorded in the sequence the sequential
-    :class:`Dispatcher` would use, so results (and, for ``workers=1``,
-    statistics) are reproducible.
-
-    ``executor=`` lends the dispatcher a long-lived pool (matching the
-    backend: a ``ThreadPoolExecutor`` for threads, a ``ProcessPoolExecutor``
-    for processes) instead of building one per ``prove_all`` call.  A
-    borrowed pool is never shut down here — the owner (e.g. the verify
-    daemon's prover farm, shared by every batch lane) manages its lifetime —
-    and its workers persist across batches, so per-thread prover portfolios
-    and per-process portfolio caches are built once and reused.
+    The pool is ``executor=`` when one is lent — a long-lived pool matching
+    the backend, never shut down here (e.g. the verify daemon's prover farm,
+    shared by every batch lane; its workers persist across batches, so
+    per-thread and per-process portfolios are built once) — or else one of
+    ``workers`` workers built for each ``prove_all`` call.  ``workers=1``
+    with no executor runs the chains inline: a pool of one would only make
+    the calling thread wait.  Whatever the executor, the cache scan, the
+    cache stores and the merge happen in the calling thread, so outcomes,
+    statistics and cache counters match the inline :class:`Dispatcher`.
     """
 
     def __init__(
@@ -824,7 +814,6 @@ class ParallelDispatcher:
         prover_factory: Callable[[], List[Prover]],
         workers: Optional[int] = None,
         backend: str = "thread",
-        stop_on_failure: bool = False,
         cache: Optional[SequentCache] = None,
         sequent_budget: Optional[float] = None,
         dedup: bool = False,
@@ -836,29 +825,23 @@ class ParallelDispatcher:
         _names: Optional[List[str]] = None,
         _options: Optional[dict] = None,
     ) -> None:
-        import os
-
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")
         if backend == "process" and _names is None:
             raise ValueError("backend='process' requires ParallelDispatcher.from_names(...)")
+        super().__init__(
+            prover_factory(),
+            cache=cache,
+            sequent_budget=sequent_budget,
+            dedup=dedup,
+            static_tier=static_tier,
+            race=race,
+            ordering=ordering,
+            race_stagger=race_stagger,
+        )
         self._factory = prover_factory
         self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
         self.backend = backend
-        self.stop_on_failure = stop_on_failure
-        self.cache = cache
-        self.sequent_budget = sequent_budget
-        self.dedup = dedup
-        # The static pre-pass runs in the *parent*, before pool submission:
-        # statically discharged sequents never reach a worker, and the
-        # discharger's counters stay single-threaded.
-        self.static = _make_static_tier(static_tier)
-        # Racing (race >= 2): each worker slot races the top-``race``
-        # provers of its sequent; the learned ordering (and the cache scan,
-        # for the process backend) always runs in the parent.
-        self.race = max(1, int(race))
-        self.ordering = ordering
-        self.race_stagger = race_stagger
         self.executor = executor
         self._names = list(_names) if _names is not None else None
         self._options = dict(_options) if _options is not None else {}
@@ -867,7 +850,10 @@ class ParallelDispatcher:
         # calls, so their portfolios survive across batches.  A worker thread
         # runs one task at a time, so a portfolio is never shared.
         self._worker_local = threading.local()
-        self._probe: Optional[List[Prover]] = None
+
+    # The one implementation, bound as this class's own attribute so that
+    # instrumenting either class's entry point never wraps the other's.
+    prove_all = Dispatcher.prove_all
 
     @classmethod
     def from_names(
@@ -875,7 +861,6 @@ class ParallelDispatcher:
         names: Sequence[str] = DEFAULT_ORDER,
         workers: Optional[int] = None,
         backend: str = "thread",
-        stop_on_failure: bool = False,
         cache: Optional[SequentCache] = None,
         sequent_budget: Optional[float] = None,
         dedup: bool = False,
@@ -891,7 +876,6 @@ class ParallelDispatcher:
             lambda: make_provers(resolved, **options),
             workers=workers,
             backend=backend,
-            stop_on_failure=stop_on_failure,
             cache=cache,
             sequent_budget=sequent_budget,
             dedup=dedup,
@@ -904,317 +888,50 @@ class ParallelDispatcher:
             _options=options,
         )
 
-    # -- main entry point ------------------------------------------------------
+    def _open_pool(self) -> Tuple[Optional[Executor], bool]:
+        if self.executor is not None:
+            return self.executor, False
+        if self.workers == 1:
+            return None, False
+        if self.backend == "process":
+            return ProcessPoolExecutor(max_workers=self.workers), True
+        pool = ThreadPoolExecutor(max_workers=self.workers, thread_name_prefix="prover-worker")
+        return pool, True
 
-    def prove_all(
-        self, sequents: Sequence[Sequent], deadline: Optional[Deadline] = None
-    ) -> DispatchResult:
-        """Prove a batch on the worker pool.  ``deadline`` is an optional
-        batch-level bound (e.g. a request budget): thread workers enforce it
-        cooperatively inside the chains; process workers receive their
-        sequent budget clipped to the deadline's remaining slack at submit
-        time (a conservative approximation — a Deadline's monotonic expiry
-        instant cannot cross a process boundary)."""
-        result = DispatchResult()
-        result.workers = self.workers
-        start = time.perf_counter()
-        rep = _dedup_representatives(sequents) if self.dedup else None
-        if self.backend == "thread":
-            outcomes, busy = self._prove_all_threads(sequents, rep, deadline)
-        else:
-            outcomes, busy = self._prove_all_processes(sequents, rep, deadline)
-        if rep is not None:
-            result.dedup_replayed = sum(
-                1 for index in range(len(outcomes)) if rep[index] != index
-            )
-        _merge_outcomes(result, outcomes, self.stop_on_failure, self.cache is not None)
-        _observe_outcomes(self.ordering, outcomes)
-        result.total_time = time.perf_counter() - start
-        result.wall_time = result.total_time
-        if result.wall_time > 0:
-            result.worker_utilization = {
-                worker: elapsed / result.wall_time for worker, elapsed in sorted(busy.items())
-            }
-        return result
-
-    def _static_check(self, sequent: Sequent) -> Optional[SequentOutcome]:
-        """The static pre-pass on one sequent (None when disabled or missed)."""
-        if self.static is None:
-            return None
-        reason = self.static.check(sequent)
-        return _static_outcome(sequent, reason) if reason is not None else None
-
-    # -- thread backend --------------------------------------------------------
-
-    def _prove_all_threads(
+    def _run(
         self,
-        sequents: Sequence[Sequent],
-        rep: Optional[List[int]] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Tuple[List[SequentOutcome], Dict[str, float]]:
-        local = self._worker_local
-        busy: Dict[str, float] = {}
-        busy_lock = threading.Lock()
-
-        def task(sequent: Sequent) -> SequentOutcome:
-            provers = getattr(local, "provers", None)
-            if provers is None:
-                provers = self._factory()
-                local.provers = provers
-            started = time.perf_counter()
-            if self.race > 1:
-                outcome = _race_prover_chain(
-                    provers, sequent, self.race, self.cache, self.sequent_budget,
-                    ordering=self.ordering, stagger=self.race_stagger,
-                    deadline=deadline,
-                )
-            else:
-                outcome = _run_prover_chain(
-                    provers, sequent, self.cache, self.sequent_budget,
-                    deadline=deadline,
-                )
-            elapsed = time.perf_counter() - started
-            name = threading.current_thread().name
-            with busy_lock:
-                busy[name] = busy.get(name, 0.0) + elapsed
-            return outcome
-
-        outcomes: List[SequentOutcome] = []
-        pool = self.executor
-        owned: Optional[ThreadPoolExecutor] = None
-        if pool is None:
-            owned = pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="prover-worker"
-            )
-        try:
-            # Only group representatives that the static pre-pass did not
-            # already resolve are submitted; duplicates are fanned out from
-            # the representative's outcome at merge time.
-            entries: List[Union[None, SequentOutcome, object]] = []
-            for index, sequent in enumerate(sequents):
-                if rep is not None and rep[index] != index:
-                    entries.append(None)
-                    continue
-                static = self._static_check(sequent)
-                if static is not None:
-                    entries.append(static)
-                    continue
-                entries.append(pool.submit(task, sequent))
-            for index, entry in enumerate(entries):
-                if entry is None:
-                    outcome = _replayed_outcome(sequents[index], outcomes[rep[index]])
-                elif isinstance(entry, SequentOutcome):
-                    outcome = entry
-                else:
-                    outcome = entry.result()
-                outcomes.append(outcome)
-                if self.stop_on_failure and not outcome.proved:
-                    for pending in entries[index + 1:]:
-                        if pending is not None and not isinstance(pending, SequentOutcome):
-                            pending.cancel()
-                    break
-        finally:
-            if owned is not None:
-                owned.shutdown(wait=True)
-        return outcomes, busy
-
-    # -- process backend -------------------------------------------------------
-
-    def _cached_chain_prefix(
-        self, sequent: Sequent, signatures: List[Tuple[str, str]]
-    ) -> Tuple[List[ProverAnswer], bool]:
-        """Replay the chain's cached prefix; ``complete`` means no live run
-        is needed (a cached PROVED was found or every prover is cached)."""
-        answers: List[ProverAnswer] = []
-        if self.cache is None:
-            return answers, False
-        for prover_name, signature in signatures:
-            entry = self.cache.lookup(sequent, prover_name, signature)
-            if entry is None:
-                return answers, False
-            answers.append(entry.to_answer(prover_name))
-            if entry.verdict is Verdict.PROVED:
-                return answers, True
-        return answers, True
-
-    def _cached_race_scan(
-        self,
+        pool: Optional[Executor],
         sequent: Sequent,
-        signatures: List[Tuple[str, str]],
-        ranked: Sequence[int],
-    ) -> Tuple[List[ProverAnswer], List[int], bool]:
-        """The racing chain's cache scan, run parent-side (the cache never
-        crosses into process workers).
-
-        Mirrors :func:`_race_prover_chain`'s scan phase exactly: cached
-        answers replay in ranked order, a cached PROVED completes the
-        sequent outright, and the returned ``live`` indices — the provers
-        still open, in rank order — are what the worker will race.
-        """
-        answers: List[ProverAnswer] = []
-        live: List[int] = []
-        for index in ranked:
-            prover_name, signature = signatures[index]
-            entry = (
-                self.cache.lookup(sequent, prover_name, signature)
-                if self.cache is not None
-                else None
-            )
-            if entry is None:
-                live.append(index)
-                continue
-            answers.append(entry.to_answer(prover_name))
-            if entry.verdict is Verdict.PROVED:
-                return answers, live, True
-        return answers, live, not live
-
-    def _prove_all_processes(
-        self,
-        sequents: Sequence[Sequent],
-        rep: Optional[List[int]] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Tuple[List[SequentOutcome], Dict[str, float]]:
-        # The probe portfolio only supplies names/signatures for the
-        # parent-side cache scans — build it once per dispatcher, not once
-        # per batch.
-        probe = self._probe
-        if probe is None:
-            probe = self._probe = self._factory()
-        signatures = [(p.name, p.options_signature()) for p in probe]
-        by_prover = {p.name: p for p in probe}
-
-        def finish(sequent: Sequent, prefix: List[ProverAnswer], tail: SequentOutcome):
-            """Splice the cached prefix and the worker's live tail, storing
-            the freshly computed verdicts back into the parent's cache
-            (except budget-truncated TIMEOUTs — see _run_prover_chain)."""
-            for answer in tail.answers:
-                prover = by_prover.get(answer.prover)
-                if (
-                    self.cache is not None
-                    and prover is not None
-                    and not answer.truncated
-                ):
-                    # ``truncated`` travels on the pickled answer, so the
-                    # parent applies the same suppression rule as the
-                    # in-process chain (budget-clipped or race-contended
-                    # TIMEOUTs only; genuine verdicts are stored).  The
-                    # cache itself refuses CANCELLED.
-                    self.cache.store(
-                        sequent, answer.prover, answer, prover.options_signature()
-                    )
-            outcome = SequentOutcome(
-                sequent=sequent,
-                proved=tail.proved,
-                prover=tail.prover,
-                answers=prefix + tail.answers,
-                budget_exhausted=tail.budget_exhausted,
-                raced=tail.raced,
-                race_won_by=tail.race_won_by,
-                reclaimed=tail.reclaimed,
-            )
-            return outcome
-
-        # The static pre-pass outranks the cache: a statically discharged
-        # sequent is never prefix-scanned or submitted.  Duplicates are
-        # never scanned or submitted either — their outcome is fanned out
-        # from the representative's at merge time.
-        statics: List[Optional[SequentOutcome]] = [
-            None
-            if rep is not None and rep[index] != index
-            else self._static_check(sequent)
-            for index, sequent in enumerate(sequents)
-        ]
-        # ``prefixes[i]`` is (cached answers, complete); ``race_orders[i]``
-        # additionally carries, in racing mode, the ranked indices of the
-        # provers the worker should race (the ordering table and the cache
-        # both live parent-side, so ranking and the scan happen here).
-        prefixes: List[Tuple[List[ProverAnswer], bool]] = []
-        race_orders: List[Optional[List[int]]] = []
-        names_in_order = [prover.name for prover in probe]
-        for index, sequent in enumerate(sequents):
-            if statics[index] is not None or (rep is not None and rep[index] != index):
-                prefixes.append(([], False))
-                race_orders.append(None)
-            elif self.race > 1:
-                ranked = (
-                    self.ordering.rank(sequent, names_in_order)
-                    if self.ordering is not None
-                    else list(range(len(signatures)))
-                )
-                answers, live, complete = self._cached_race_scan(
-                    sequent, signatures, ranked
-                )
-                prefixes.append((answers, complete))
-                race_orders.append(live)
-            else:
-                prefixes.append(self._cached_chain_prefix(sequent, signatures))
-                race_orders.append(None)
-
-        busy: Dict[str, float] = {}
-        outcomes: List[SequentOutcome] = []
-        expired = [False] * len(sequents)
-        pool = self.executor
-        owned: Optional[ProcessPoolExecutor] = None
+        open_: List[int],
+        deadline: Optional[Deadline],
+    ) -> Union[SequentOutcome, Future]:
+        """Submit the open provers' chain as a pool task (inline without a
+        pool).  A process task gets the sequent budget clipped to the batch
+        deadline now; none is submitted once that deadline has passed."""
         if pool is None:
-            owned = pool = ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            futures = []
-            for index, (sequent, (prefix, complete)) in enumerate(zip(sequents, prefixes)):
-                if (
-                    complete
-                    or statics[index] is not None
-                    or (rep is not None and rep[index] != index)
-                ):
-                    futures.append(None)
-                    continue
-                # A Deadline cannot cross the process boundary (its expiry
-                # instant is this process's monotonic clock), so the batch
-                # deadline clips each worker's sequent budget at submit time.
-                budget = self.sequent_budget
-                if deadline is not None:
-                    slack = deadline.remaining()
-                    if slack <= 0:
-                        expired[index] = True
-                        futures.append(None)
-                        continue
-                    budget = slack if budget is None else min(budget, slack)
-                payload = (
-                    self._names, self._options, budget, sequent,
-                    len(prefix), self.race, race_orders[index], self.race_stagger,
-                )
-                futures.append(pool.submit(_process_worker_chain, payload))
-            for index, (sequent, (prefix, complete)) in enumerate(zip(sequents, prefixes)):
-                if rep is not None and rep[index] != index:
-                    outcome = _replayed_outcome(sequent, outcomes[rep[index]])
-                elif statics[index] is not None:
-                    outcome = statics[index]
-                elif expired[index]:
-                    outcome = SequentOutcome(
-                        sequent=sequent, proved=False, answers=list(prefix),
-                        budget_exhausted=True,
-                    )
-                elif complete:
-                    outcome = SequentOutcome(sequent=sequent, proved=False, answers=prefix)
-                    if prefix and prefix[-1].proved:
-                        outcome.proved = True
-                        outcome.prover = prefix[-1].prover
-                else:
-                    tail = futures[index].result()
-                    outcome = finish(sequent, prefix, tail)
-                    # The pool does not reveal which process ran the task, so
-                    # report the *average* per-worker busy fraction: total
-                    # prover CPU spread across the pool (keeps the documented
-                    # "fraction of wall-time" semantics, never exceeding ~1).
-                    busy["process-pool-avg"] = busy.get("process-pool-avg", 0.0) + (
-                        sum(a.time for a in tail.answers) / self.workers
-                    )
-                outcomes.append(outcome)
-                if self.stop_on_failure and not outcome.proved:
-                    for pending in futures[index + 1:]:
-                        if pending is not None:
-                            pending.cancel()
-                    break
-        finally:
-            if owned is not None:
-                owned.shutdown(wait=True)
-        return outcomes, busy
+            return super()._run(pool, sequent, open_, deadline)
+        if self.backend == "thread":
+            return pool.submit(self._thread_chain, sequent, open_, deadline)
+        budget = self.sequent_budget
+        if deadline is not None:
+            slack = deadline.remaining()
+            if slack <= 0:
+                return SequentOutcome(sequent=sequent, proved=False, budget_exhausted=True)
+            budget = slack if budget is None else min(budget, slack)
+        return pool.submit(
+            _process_chain,
+            (self._names, self._options, open_, sequent, budget, self.race, self.race_stagger),
+        )
+
+    def _thread_chain(
+        self, sequent: Sequent, open_: List[int], deadline: Optional[Deadline]
+    ) -> SequentOutcome:
+        """The chain task of a pool thread: the thread's own portfolio, and
+        a chain deadline that starts when the task does."""
+        provers = getattr(self._worker_local, "provers", None)
+        if provers is None:
+            provers = self._worker_local.provers = self._factory()
+        return _race_prover_chain(
+            [provers[index] for index in open_], sequent, self.race,
+            _chain_deadline(self.sequent_budget, deadline), self.race_stagger,
+        )

@@ -691,9 +691,7 @@ def _slice_result(
             if not outcome.proved:
                 outcome.budget_exhausted = True
     result = DispatchResult()
-    _merge_outcomes(
-        result, merged.outcomes[start:stop], stop_on_failure=False, cache_enabled=True
-    )
+    _merge_outcomes(result, merged.outcomes[start:stop], cache_enabled=True)
     result.dedup_replayed = sum(1 for i in range(start, stop) if rep[i] != i)
     # The slice's own answer-time sum, not the merged batch's wall: stamping
     # ``merged.total_time`` on every slice used to bill each co-batched

@@ -1,6 +1,5 @@
-"""The parallel cached dispatch subsystem: cache semantics, stats parity,
-stop-on-failure under parallelism, and the stable sequent digests that key
-the cache."""
+"""The parallel cached dispatch subsystem: cache semantics, stats parity
+across executors, and the stable sequent digests that key the cache."""
 
 import pytest
 
@@ -246,19 +245,6 @@ def test_parallel_many_workers_matches_sequential(workers):
     assert parallel.workers == workers
 
 
-def test_parallel_stop_on_failure_truncates_like_sequential():
-    seqs = _batch()  # the unprovable sequent sits at index 3
-    sequential = Dispatcher(
-        make_provers(["syntactic"]), stop_on_failure=True
-    ).prove_all(seqs)
-    parallel = ParallelDispatcher.from_names(
-        ["syntactic"], workers=3, stop_on_failure=True
-    ).prove_all(seqs)
-    assert _shape(parallel) == _shape(sequential)
-    assert not parallel.outcomes[-1].proved
-    assert parallel.total < len(seqs)
-
-
 def test_parallel_with_shared_cache_replays_everything():
     cache = SequentCache()
     seqs = _batch()
@@ -300,6 +286,67 @@ def test_parallel_process_backend_replays_cached_prefix():
     assert outcome.proved and outcome.prover == "smt"
     # Only the live smt answer reaches ProverStats.
     assert set(result.stats) == {"smt"}
+
+
+def _partly_warm_cache(seqs):
+    """A cache holding smt's PROVED for ``seqs[0]`` but not syntactic's
+    verdict, and syntactic's verdict for ``seqs[1]`` but not smt's."""
+    cache = SequentCache()
+    syn, smt = make_provers(["syntactic", "smt"])
+    for seq, prover in ((seqs[0], smt), (seqs[1], syn)):
+        cache.store(seq, prover.name, prover.prove(seq), prover.options_signature())
+    return cache
+
+
+def _dispatch_counters(result):
+    return {
+        "answers": [
+            [(a.prover, a.verdict, a.cached) for a in o.answers] for o in result.outcomes
+        ],
+        "shape": _shape(result),
+        "stats": _stat_counts(result),
+        "cache": (result.cache_stats.hits, result.cache_stats.misses),
+        "proved_live": result.proved_live,
+        "races_run": result.races_run,
+    }
+
+
+def test_cache_scan_parity_across_executors_and_race():
+    """Every executor scans the cache the same way: each prover is looked
+    up before any prover runs, and a cached PROVED anywhere in the chain
+    settles the sequent — even behind an uncached earlier prover."""
+    seqs = [
+        sequent([parse("x < y"), parse("y < z")], parse("x < z")),  # smt cached
+        sequent([parse("a < b"), parse("b < c")], parse("a < c")),  # syntactic cached
+        sequent([parse("p")], parse("p")),  # cold
+        sequent([], parse("q")),  # cold, stays unproved
+    ]
+    names = ["syntactic", "smt"]
+    runs = {}
+    for race in (1, 2):
+        # A stagger that never fires: a racer starts only once the racers
+        # before it have answered, so every run makes the same attempts.
+        knobs = dict(race=race, race_stagger=1e6)
+        executors = {
+            "inline": Dispatcher(
+                make_provers(names), cache=_partly_warm_cache(seqs), **knobs
+            ),
+            "thread": ParallelDispatcher.from_names(
+                names, workers=2, backend="thread", cache=_partly_warm_cache(seqs), **knobs
+            ),
+            "process": ParallelDispatcher.from_names(
+                names, workers=2, backend="process", cache=_partly_warm_cache(seqs), **knobs
+            ),
+        }
+        for executor, dispatcher in executors.items():
+            runs[executor, race] = _dispatch_counters(dispatcher.prove_all(seqs))
+    reference = runs["inline", 1]
+    assert reference["answers"][0] == [("smt", Verdict.PROVED, True)]
+    assert reference["cache"][0] == 2  # smt's PROVED and syntactic's verdict
+    assert reference["proved_live"] == 2  # seqs[1] by smt, seqs[2] by syntactic
+    assert reference["races_run"] == 0
+    for key, counters in runs.items():
+        assert counters == reference, key
 
 
 def test_parallel_process_backend_requires_names():

@@ -252,6 +252,29 @@ def test_contended_wave_timeouts_are_truncated_and_not_cached():
     assert cache.lookup(seq, "timingout", timingout.options_signature()) is None
 
 
+def test_sequential_fall_through_is_not_a_race():
+    """A racer released only because the racers before it answered without
+    a proof ran alone, like a fixed-order step: the wave is no race, and
+    the racer's full-budget TIMEOUT is a genuine verdict that is cached."""
+    cache = SequentCache()
+    quick, slow = UnknownProver(), SlowProver(timeout=0.2)
+    seq = _seq()
+    result = Dispatcher(
+        [quick, slow], race=2, race_stagger=1e6, cache=cache
+    ).prove_all([seq])
+    (outcome,) = result.outcomes
+    assert [(a.prover, a.verdict) for a in outcome.answers] == [
+        ("unknown1", Verdict.UNKNOWN),
+        ("slow", Verdict.TIMEOUT),
+    ]
+    assert result.races_run == 0
+    assert outcome.race_won_by is None
+    assert not outcome.answers[1].truncated
+    entry = cache.lookup(seq, "slow", slow.options_signature())
+    assert entry is not None and entry.verdict is Verdict.TIMEOUT
+    assert cache.lookup(seq, "unknown1", quick.options_signature()) is not None
+
+
 # -- dedup fan-out ------------------------------------------------------------
 
 
@@ -284,12 +307,13 @@ def test_learned_ordering_reorders_the_race():
 
     bucket = sequent_features(seq)
     ordering.observe_outcome(bucket, "instant", proved=True, time=0.001)
-    outcome = _race_prover_chain(
-        provers, seq, race=1, ordering=ordering, stagger=0.0
-    )
+    result = Dispatcher(
+        provers, race=2, race_stagger=1e6, ordering=ordering
+    ).prove_all([seq])
+    (outcome,) = result.outcomes
     assert outcome.proved and outcome.prover == "instant"
-    # Rank-first instant proved in the first (single-prover) wave: the
-    # unknowns were never consulted at all.
+    # Rank-first instant proved in the first wave before its rival's hedge
+    # fired: the unknowns were never consulted at all.
     assert [a.prover for a in outcome.answers] == ["instant"]
 
 
