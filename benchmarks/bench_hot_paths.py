@@ -1,29 +1,13 @@
 #!/usr/bin/env python3
 """Whole-suite cold-verify benchmark of the hot-path optimisations.
 
-Runs the full Figure-15 suite cold (no sequent cache) in two modes that
-differ **only** in the performance changes introduced with the hash-consing
-term layer and the incremental DPLL(T) trail:
-
-* ``baseline`` — the pre-change shipped configuration: ``interning=False,
-  incremental=False, fragment_gate=False`` on every prover (terms are
-  rebuilt structurally, the SAT core re-solves from scratch after every
-  theory blocking clause, cardinality/arithmetic goals burn their full
-  budget in engines that never decide them) under the pre-change default
-  budgets (SMT 5 s, FOL 5 s, MONA 10 s).
-* ``optimized`` — the shipped defaults after the change: all flags on,
-  and the profile-guided budget re-tunes that the optimisations enable
-  (SMT 3 s — its slowest genuine proof now lands comfortably inside it —
-  FOL 1.5 s, MONA 2 s; each engine's proofs all complete well under the
-  new budget, so the old ones were pure deadline burn on undecidable
-  goals).
-
-Everything else is held fixed (same prover order, same machine, same
-process), so the wall-clock ratio is exactly what a cold
-``examples/figure15_table.py`` run gained from this change-set.  The run
-*asserts* that both modes prove exactly the same sequents per structure —
-the optimisations must be observationally invisible — and (full scale
-only) that the speedup is at least ``--min-speedup`` (default 2.0).
+Runs the Figure-15 suite cold (no sequent cache) under the shipped prover
+configuration: hash-consed terms, the incremental DPLL(T) trail and the
+fragment gates (all unconditional now) with the profile-guided budgets
+(SMT 3 s, FOL 1.5 s, MONA 2 s).  The pre-optimisation "baseline" column of
+the committed ``BENCH_hot_paths.json`` (189.6 s vs 70.6 s on its reference
+machine) is recorded history: the switches that reproduced that engine are
+gone, so only the optimized run is re-measured.
 
 Usage::
 
@@ -31,11 +15,11 @@ Usage::
     python benchmarks/bench_hot_paths.py --smoke          # 3-structure smoke scale
     python benchmarks/bench_hot_paths.py --smoke --check BENCH_hot_paths.json
 
-``--check`` is the CI regression gate: re-measure the optimized smoke run
-and fail if its wall time regressed more than ``--tolerance`` (default 20%)
-against the committed reference — after normalising by the machine-speed
-calibration loop recorded alongside, so a slower runner does not fail the
-gate spuriously.
+``--check`` is the CI regression gate: re-measure the smoke run and fail if
+its wall time regressed more than ``--tolerance`` (default 20%) against the
+committed reference — after normalising by the machine-speed calibration
+loop recorded alongside, so a slower runner does not fail the gate
+spuriously.
 """
 
 from __future__ import annotations
@@ -53,31 +37,23 @@ PROVERS = ["smt", "fol", "mona", "bapa"]
 SMOKE_NAMES = ["AssocList", "SinglyLinkedList", "PriorityQueue"]
 
 
-def prover_options(optimized: bool) -> Dict[str, dict]:
-    """Each mode is the *shipped* configuration of its era, spelled out
-    explicitly so the benchmark stays meaningful if defaults drift again:
-    baseline is the pre-change defaults, optimized the current ones."""
-    flags = dict(interning=optimized, incremental=optimized, fragment_gate=optimized)
-    return {
-        "smt": dict(timeout=3.0 if optimized else 5.0, **flags),
-        "fol": {
-            "timeout": 1.5 if optimized else 5.0,
-            "interning": optimized,
-            "fragment_gate": optimized,
-        },
-        "mona": {"timeout": 2.0 if optimized else 10.0, "fragment_gate": optimized},
-    }
+#: The budgets the reference numbers were measured under, spelled out so the
+#: benchmark stays comparable if the defaults drift.
+PROVER_OPTIONS = {
+    "smt": {"timeout": 3.0},
+    "fol": {"timeout": 1.5},
+    "mona": {"timeout": 2.0},
+}
 
 
-def run_mode(names: List[str], optimized: bool) -> Dict[str, dict]:
+def run_suite(names: List[str]) -> Dict[str, dict]:
     from repro import suite
 
-    options = prover_options(optimized)
     results: Dict[str, dict] = {}
     for name in names:
         start = time.perf_counter()
         report = suite.verify_structure(
-            name, provers=PROVERS, prover_options=options, dedup=True
+            name, provers=PROVERS, prover_options=PROVER_OPTIONS, dedup=True
         )
         wall = time.perf_counter() - start
         results[name] = {
@@ -115,16 +91,12 @@ def main() -> int:
     )
     parser.add_argument(
         "--check", metavar="JSON", default=None,
-        help="CI gate: compare the optimized run against a committed reference "
+        help="CI gate: compare the run against a committed reference "
         "instead of writing a new one",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.20,
         help="allowed relative wall regression in --check mode (default: 20%%)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=2.0,
-        help="required baseline/optimized wall ratio at full scale (default: 2.0)",
     )
     args = parser.parse_args()
 
@@ -137,9 +109,9 @@ def main() -> int:
     calibration = calibrate()
     print(f"scale={scale}, calibration loop {calibration:.3f}s")
 
-    print("optimized mode (interning + incremental trail + fragment gates):", flush=True)
-    optimized = run_mode(names, optimized=True)
-    optimized_wall = sum(r["wall_s"] for r in optimized.values())
+    print("cold suite:", flush=True)
+    results = run_suite(names)
+    wall = sum(r["wall_s"] for r in results.values())
 
     if args.check:
         with open(args.check) as fh:
@@ -157,64 +129,33 @@ def main() -> int:
         # machine is allowed 1.5x the wall before the tolerance applies.
         speed_ratio = calibration / ref_calibration
         allowed = ref_wall * speed_ratio * (1.0 + args.tolerance)
-        verdict = "OK" if optimized_wall <= allowed else "REGRESSION"
+        verdict = "OK" if wall <= allowed else "REGRESSION"
         print(
-            f"gate: measured {optimized_wall:.2f}s vs reference {ref_wall:.2f}s "
+            f"gate: measured {wall:.2f}s vs reference {ref_wall:.2f}s "
             f"(machine x{speed_ratio:.2f}, allowed {allowed:.2f}s) -> {verdict}"
         )
-        return 0 if optimized_wall <= allowed else 1
+        return 0 if wall <= allowed else 1
 
-    print("baseline mode (flags off):", flush=True)
-    baseline = run_mode(names, optimized=False)
-    baseline_wall = sum(r["wall_s"] for r in baseline.values())
-
-    mismatches = [
-        name
-        for name in names
-        if baseline[name]["proved"] != optimized[name]["proved"]
-        or baseline[name]["total"] != optimized[name]["total"]
-    ]
-    if mismatches:
-        print(f"FAIL: proved counts differ between modes: {mismatches}", file=sys.stderr)
-        return 1
-
-    speedup = baseline_wall / optimized_wall if optimized_wall else float("inf")
-    print(
-        f"\nsuite cold verify: baseline {baseline_wall:.2f}s, "
-        f"optimized {optimized_wall:.2f}s, speedup {speedup:.2f}x"
-    )
-
+    print(f"\nsuite cold verify: {wall:.2f}s")
     payload = {
         "benchmark": "hot_paths_cold_suite",
         "scale": scale,
         "provers": PROVERS,
-        "prover_options": {"baseline": prover_options(False), "optimized": prover_options(True)},
+        "prover_options": {"optimized": PROVER_OPTIONS},
         "calibration_s": round(calibration, 4),
-        "baseline_wall_s": round(baseline_wall, 3),
-        "optimized_wall_s": round(optimized_wall, 3),
-        "speedup": round(speedup, 3),
-        "structures": {
-            name: {"baseline": baseline[name], "optimized": optimized[name]}
-            for name in names
-        },
+        "optimized_wall_s": round(wall, 3),
+        "structures": {name: {"optimized": results[name]} for name in names},
     }
     if not args.smoke:
         # Record smoke-scale numbers from the same run so the CI gate has a
         # same-machine reference without a second full run.
         payload["smoke_optimized_wall_s"] = round(
-            sum(optimized[n]["wall_s"] for n in SMOKE_NAMES if n in optimized), 3
+            sum(results[n]["wall_s"] for n in SMOKE_NAMES if n in results), 3
         )
     with open(args.output, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.output}")
-
-    if not args.smoke and speedup < args.min_speedup:
-        print(
-            f"FAIL: speedup {speedup:.2f}x below required {args.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

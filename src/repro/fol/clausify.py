@@ -10,13 +10,12 @@ sound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
 from ..form import ast as F
-from ..form.rewrite import nnf, simplify
 from .terms import Clause, FApp, FTerm, FVar, Literal
 
 if TYPE_CHECKING:  # import cycle: form.intern interns this module's terms
@@ -31,18 +30,26 @@ class ClausificationError(Exception):
 class Clausifier:
     """Stateful clausifier producing standardised-apart clauses.
 
-    With a :class:`TermBank` attached, every produced FOL term is the
-    bank's canonical node, so downstream structural comparisons (the
-    congruence closure's dictionaries, the resolution indexes) hit the
-    pointer-identity fast path of :class:`FApp.__eq__`; the bank's
-    normalisation memo also short-circuits the ``simplify(nnf(...))``
-    preamble for formulas seen before.
+    Terms go through a :class:`TermBank` (the caller's, or a fresh one per
+    clausifier): every produced FOL term is the bank's canonical node, so
+    downstream structural comparisons (the congruence closure's
+    dictionaries, the resolution indexes) hit the pointer-identity fast
+    path of :class:`FApp.__eq__`; the bank's normalisation memo also
+    short-circuits the ``simplify(nnf(...))`` preamble for formulas seen
+    before.
     """
 
     max_clauses: int = 4000
     bank: Optional["TermBank"] = None
     _var_counter: int = 0
     _skolem_counter: int = 0
+
+    def __post_init__(self) -> None:
+        if self.bank is None:
+            # Imported here: repro.form.intern interns this module's terms.
+            from ..form.intern import TermBank
+
+            self.bank = TermBank()
 
     def fresh_var(self, base: str) -> FVar:
         self._var_counter += 1
@@ -53,18 +60,13 @@ class Clausifier:
         return f"sk_{self._skolem_counter}"
 
     def _fapp(self, func: str, args: Tuple[FTerm, ...] = ()) -> FApp:
-        if self.bank is not None:
-            return self.bank.fapp(func, args)
-        return FApp(func, args)
+        return self.bank.fapp(func, args)
 
     # -- formula -> clauses ---------------------------------------------------
 
     def clausify(self, formula: F.Term) -> List[Clause]:
         """Clausify one formula (conjoined with previously produced clauses)."""
-        if self.bank is not None:
-            formula = self.bank.normalised(formula)
-        else:
-            formula = simplify(nnf(formula))
+        formula = self.bank.normalised(formula)
         matrix = self._transform(formula, {}, [])
         clauses = [Clause(tuple(lits)) for lits in matrix]
         return [c for c in clauses if not c.is_tautology()]

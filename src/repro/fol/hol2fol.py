@@ -35,9 +35,9 @@ class Translation:
     """The result of translating a sequent: clauses for refutation.
 
     ``goal_clauses`` are the clauses of the *negated goal* — the natural
-    initial set of support for the resolution engine's ``strategy="sos"``
-    (they are also the tail of ``clauses``; provenance is kept separately so
-    the prover does not have to reverse-engineer it).
+    initial set of support for the resolution engine (they are also the
+    tail of ``clauses``; provenance is kept separately so the prover does
+    not have to reverse-engineer it).
     """
 
     clauses: List[Clause]
@@ -465,14 +465,11 @@ def reify_reachability(sequent: Sequent) -> Tuple[Sequent, List[F.Term]]:
     return reified, axioms
 
 
-def translate_sequent(
-    sequent: Sequent, max_clauses: int = 4000, bank=None
-) -> Translation:
+def translate_sequent(sequent: Sequent, max_clauses: int = 4000) -> Translation:
     """Translate a sequent into a clause set whose unsatisfiability proves it.
 
-    ``bank`` (a :class:`repro.form.intern.TermBank`) makes the clausifier
-    produce canonical, pointer-comparable FOL terms and memoises the
-    normalisation preamble; the clause set is observationally identical.
+    The clausifier produces canonical, pointer-comparable FOL terms through
+    a fresh :class:`repro.form.intern.TermBank` per translation.
     """
     sequent = relevant_assumptions(sequent.restricted())
     sequent, reach_axioms = reify_reachability(sequent)
@@ -499,7 +496,7 @@ def translate_sequent(
     if used_arith:
         axioms.extend(parse_formula(a) for a in _ARITH_AXIOMS)
 
-    clausifier = Clausifier(max_clauses=max_clauses, bank=bank)
+    clausifier = Clausifier(max_clauses=max_clauses)
     clauses: List[Clause] = []
     for formula in axioms + formulas:
         try:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from ..form import ast as F
 from ..provers.base import Deadline, PhaseTimer, Prover, ProverAnswer, Verdict
@@ -33,32 +33,22 @@ class FirstOrderProver(Prover):
     (which applies the sound approximation rewrites), then the saturation
     loop searches for the empty clause within the configured limits.
 
-    Search strategy (see :mod:`repro.fol.resolution` for the semantics):
+    Search (see :mod:`repro.fol.resolution` for the semantics): the set of
+    support is the negated goal's clauses plus every input clause without a
+    positive literal — the *semantic* set of support induced by the
+    all-atoms-true interpretation, which satisfies the non-support side and
+    therefore keeps the SOS restriction refutationally complete.  This
+    matters for split sequents: the splitter moves the goal's hypotheses
+    into the assumptions, so vacuous-path obligations are refuted entirely
+    inside the assumption set, which a goal-only support never touches.
+    KBO ordering, negative-literal selection and backward subsumption are
+    always on.
 
-    * ``strategy="sos"`` (default) seeds the set of support with the negated
-      goal's clauses, so every inference descends from the goal and
-      axiom–axiom saturation is structurally blocked; ``"fair"`` is the
-      undirected given-clause loop.
-    * ``sos_seed`` picks the initial support.  ``"negative"`` (default)
-      seeds the negated-goal clauses plus every input clause without a
-      positive literal — the *semantic* set of support induced by the
-      all-atoms-true interpretation, which satisfies the non-support side
-      and therefore keeps the SOS restriction refutationally complete.
-      This matters for split sequents: the splitter moves the goal's
-      hypotheses into the assumptions, so vacuous-path obligations are
-      refuted entirely inside the assumption set, which a goal-only
-      support never touches.  ``"goal"`` supports only the negated-goal
-      clauses (maximally directed, incomplete on inconsistent
-      assumptions); ``"goal+mentioned"`` additionally seeds every
-      assumption clause sharing a (non-equality) predicate symbol with
-      the goal clauses.
-    * ``ordering``/``selection`` restrict resolution to KBO-maximal or
-      selected-negative literals.
-
-    All four knobs can flip a verdict between PROVED and UNKNOWN, so they
-    are scalar instance attributes and therefore part of
-    :meth:`Prover.options_signature` — cached verdicts computed under one
-    strategy are never replayed for another.
+    Cardinality and arithmetic goals are answered UNSUPPORTED at once: the
+    untyped FOL translation erases ``card`` (BAPA's fragment) and the
+    integer order/operations (``lt``/``plus``/... become uninterpreted
+    symbols with no theory axioms), so saturation could only burn its
+    budget on such goals — across the whole suite it proves none of them.
     """
 
     name = "fol"
@@ -78,91 +68,36 @@ class FirstOrderProver(Prover):
         timeout: float = 1.5,
         max_processed: int = 6000,
         max_generated: int = 200000,
-        strategy: str = "sos",
-        sos_seed: str = "negative",
-        ordering: str = "kbo",
-        selection: str = "negative",
-        backward_subsumption: bool = True,
-        fragment_gate: bool = True,
-        interning: bool = True,
     ) -> None:
         super().__init__(timeout=timeout)
-        # Every knob silently changes search behaviour (and keys the verdict
-        # cache), so a typo'd value must fail loudly, not degrade to "fair".
-        for name, value, allowed in (
-            ("strategy", strategy, ("sos", "fair")),
-            ("sos_seed", sos_seed, ("negative", "goal", "goal+mentioned")),
-            ("ordering", ordering, ("kbo", "none")),
-            ("selection", selection, ("negative", "none")),
-        ):
-            if value not in allowed:
-                raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
         self.max_processed = max_processed
         self.max_generated = max_generated
-        self.strategy = strategy
-        self.sos_seed = sos_seed
-        self.ordering = ordering
-        self.selection = selection
-        #: Backward subsumption (discard active clauses subsumed by a new
-        #: one).  On by default: with the subsumption index the scan is
-        #: cheap, and discarding dominated active clauses shrinks the
-        #: resolution frontier.  A scalar instance attribute, so it keys
-        #: the verdict cache like the other strategy knobs.
-        self.backward_subsumption = bool(backward_subsumption)
-        #: Answer UNSUPPORTED immediately on cardinality and arithmetic
-        #: goals: the untyped FOL translation erases ``card`` (BAPA's
-        #: fragment) and the integer order/operations (``lt``/``plus``/...
-        #: become uninterpreted symbols with no theory axioms), so
-        #: saturation can only burn its budget on such goals — across the
-        #: whole suite it proves none of them.
-        self.fragment_gate = bool(fragment_gate)
-        #: Translate through a per-attempt :class:`repro.form.intern.TermBank`
-        #: (canonical pointer-comparable FOL terms, memoised normalisation);
-        #: observationally identical, off reproduces the pre-interning path.
-        self.interning = bool(interning)
 
     def _support(self, translation) -> Optional[List[Clause]]:
-        """The initial set of support, per ``strategy``/``sos_seed``."""
-        if self.strategy != "sos" or not translation.goal_clauses:
+        """The initial set of support: the negated goal's clauses plus the
+        all-negative input clauses (``None`` when the goal has no clauses)."""
+        if not translation.goal_clauses:
             return None
         support = list(translation.goal_clauses)
         goal_set = set(support)
-        if self.sos_seed == "negative":
-            for clause in translation.clauses:
-                if clause in goal_set:
-                    continue
-                if all(not lit.positive for lit in clause.literals):
-                    support.append(clause)
-        elif self.sos_seed == "goal+mentioned":
-            goal_predicates: Set[str] = {
-                lit.pred
-                for clause in translation.goal_clauses
-                for lit in clause.literals
-                if lit.pred != "="
-            }
-            for clause in translation.clauses:
-                if clause in goal_set:
-                    continue
-                if any(lit.pred in goal_predicates for lit in clause.literals):
-                    support.append(clause)
+        for clause in translation.clauses:
+            if clause in goal_set:
+                continue
+            if all(not lit.positive for lit in clause.literals):
+                support.append(clause)
         return support
 
     def attempt(self, sequent: Sequent, deadline: Optional[Deadline] = None) -> ProverAnswer:
         deadline = deadline or Deadline.after(self.timeout)
         timer = PhaseTimer()
-        if self.fragment_gate and _outside_fragment(sequent.goal.formula):
+        if _outside_fragment(sequent.goal.formula):
             return ProverAnswer(
                 Verdict.UNSUPPORTED,
                 self.name,
                 detail="cardinality/arithmetic goal outside the untyped FOL fragment",
             )
         with timer("translate"):
-            # Imported here, not at module level: repro.form.intern interns
-            # this package's terms, so a top-level import would be circular.
-            from ..form.intern import TermBank
-
-            bank = TermBank() if self.interning else None
-            translation = translate_sequent(sequent, bank=bank)
+            translation = translate_sequent(sequent)
         if not translation.clauses:
             # Everything was approximated away; the remaining goal is True.
             return ProverAnswer(
@@ -175,10 +110,6 @@ class FirstOrderProver(Prover):
             max_seconds=self.timeout,
             max_processed=self.max_processed,
             max_generated=self.max_generated,
-            strategy=self.strategy,
-            ordering=self.ordering,
-            selection=self.selection,
-            backward_subsumption=self.backward_subsumption,
         )
         with timer("saturate"):
             result = engine.refute(
@@ -188,7 +119,7 @@ class FirstOrderProver(Prover):
         if result.refuted:
             detail = (
                 f"refutation found ({result.processed} processed, "
-                f"{result.generated} generated clauses, strategy={self.strategy})"
+                f"{result.generated} generated clauses)"
             )
             return ProverAnswer(Verdict.PROVED, self.name, detail=detail, phases=phases)
         if result.reason == "timeout":

@@ -1,21 +1,23 @@
 """A resolution/saturation theorem prover for first-order logic with equality.
 
 This engine plays the role of SPASS and E in the original Jahob system.  It
-is a given-clause saturation loop in the Otter style, with three search
-strategies layered on top of the basic calculus:
+is a given-clause saturation loop in the Otter style, with two search
+restrictions (set of support, ordered resolution with literal selection)
+layered on top of the basic calculus:
 
 The given-clause loop
     Clauses live in two sets: *passive* (waiting to be processed) and
     *active* (processed, eligible as inference partners).  Each iteration
     pops one *given* clause from the passive queue, simplifies it against
     the active units, discards it if an active clause subsumes it, activates
-    it, and generates every inference between the given clause and the
-    active set (plus its own factors).  New clauses are simplified and
-    pushed back into the passive queue.  The loop ends when the empty clause
-    is derived (refutation), the passive queue drains (saturation), or a
+    it, discards the active clauses it subsumes (backward subsumption), and
+    generates every inference between the given clause and the active set
+    (plus its own factors).  New clauses are simplified and pushed back into
+    the passive queue.  The loop ends when the empty clause is derived
+    (refutation), the passive queue drains (saturation), or a
     limit/deadline fires.
 
-Set of support (``strategy="sos"``)
+Set of support
     The classic goal-directedness device (Wos et al.): the caller marks the
     clauses descending from the *negated goal* as the initial set of
     support.  Only SOS clauses ever enter the passive queue — axiom and
@@ -27,28 +29,25 @@ Set of support (``strategy="sos"``)
     (true here: assumptions + sound axioms have the intended model) and
     prunes exactly the inferences that made the invariant-exit obligations
     drown: saturating the axiom closure of the backbone-reachability
-    theory.  ``strategy="fair"`` restores the undirected loop (every input
+    theory.  Without a support set the loop is undirected (every input
     clause starts passive).
 
-Ordered resolution with literal selection (``ordering``, ``selection``)
-    With ``ordering="kbo"`` a Knuth–Bendix ordering (uniform symbol weight
-    1, name precedence) orients the search: a clause resolves only on its
-    *eligible* literals — the selected negative literal if
-    ``selection="negative"`` and the clause has one, otherwise its
+Ordered resolution with literal selection
+    A Knuth–Bendix ordering (uniform symbol weight 1, name precedence)
+    orients the search: a clause resolves only on its *eligible* literals —
+    its selected (heaviest) negative literal if it has one, otherwise its
     KBO-maximal literals.  Eligibility is computed before unification; since
     KBO is stable under substitution this admits a superset of the
     post-unification calculus, so refutational completeness is preserved
     while the quadratic literal-pair fan-out of wide clauses collapses to
-    (usually) one literal per clause.  ``ordering="none"`` /
-    ``selection="none"`` disable either restriction — together with
-    ``strategy="fair"`` this is exactly the PR-2 engine, kept as the
-    trusted baseline for the property tests.
+    (usually) one literal per clause.
 
 The remaining machinery is unchanged in spirit: equality is handled by
 automatically generated equality axioms (reflexivity, symmetry,
 transitivity, per-position congruence); redundancy elimination is tautology
-deletion, unit simplification and forward subsumption — now served by the
-indexed clause store of :mod:`repro.fol.index` instead of all-pairs scans;
+deletion, unit simplification and forward and backward subsumption —
+served by the indexed clause store of :mod:`repro.fol.index` instead of
+all-pairs scans;
 fairness within the passive queue is the age/weight two-tier selection
 (every ``age_weight_ratio``-th given clause is the *oldest* passive clause
 rather than the lightest); and the enforced
@@ -292,10 +291,10 @@ class _GroundRewriter:
 class ResolutionProver:
     """The saturation engine; one instance per proof attempt.
 
-    ``strategy``, ``ordering`` and ``selection`` are the search-strategy
-    knobs documented in the module docstring; they restrict which inferences
-    are *attempted* and therefore can only affect completeness and speed,
-    never soundness (every generated clause is a resolvent or factor).
+    The search restrictions documented in the module docstring limit which
+    inferences are *attempted* and therefore can only affect completeness
+    and speed, never soundness (every generated clause is a resolvent or
+    factor).
     """
 
     max_seconds: float = 5.0
@@ -308,22 +307,6 @@ class ResolutionProver:
     #: behind the stream of light resolvents and short proofs through them
     #: are never found.
     age_weight_ratio: int = 4
-    #: ``"sos"`` restricts given clauses to descendants of the ``support``
-    #: clauses passed to :meth:`refute` (falling back to ``"fair"`` when no
-    #: support is given); ``"fair"`` is the undirected loop.
-    strategy: str = "sos"
-    #: ``"kbo"`` or ``"none"`` — restrict resolution to maximal literals.
-    ordering: str = "kbo"
-    #: ``"negative"`` or ``"none"`` — resolve clauses with negative literals
-    #: only on one selected (heaviest) negative literal.
-    selection: str = "negative"
-    #: Discard *active* clauses theta-subsumed by a newly activated clause
-    #: (the ROADMAP follow-up to forward subsumption).  Removing a subsumed
-    #: clause is a pure redundancy deletion — every resolvent through it is
-    #: subsumed by a resolvent through the subsumer — so the flag can only
-    #: shrink the active set, never add inferences; kept off by default
-    #: until the property tests accumulate confidence.
-    backward_subsumption: bool = False
 
     # -- eligibility -----------------------------------------------------------
 
@@ -333,21 +316,17 @@ class ResolutionProver:
         literals = clause.literals
         if len(literals) <= 1:
             return tuple(range(len(literals)))
-        if self.selection == "negative":
-            negatives = [i for i, lit in enumerate(literals) if not lit.positive]
-            if negatives:
-                best = max(negatives, key=lambda i: (term_size(_literal_atom(literals[i])), -i))
-                return (best,)
-        if self.ordering == "kbo":
-            atoms = [_literal_atom(lit) for lit in literals]
-            maximal = tuple(
-                i
-                for i in range(len(atoms))
-                if not any(j != i and kbo_greater(atoms[j], atoms[i]) for j in range(len(atoms)))
-            )
-            if maximal:
-                return maximal
-        return tuple(range(len(literals)))
+        negatives = [i for i, lit in enumerate(literals) if not lit.positive]
+        if negatives:
+            best = max(negatives, key=lambda i: (term_size(_literal_atom(literals[i])), -i))
+            return (best,)
+        atoms = [_literal_atom(lit) for lit in literals]
+        maximal = tuple(
+            i
+            for i in range(len(atoms))
+            if not any(j != i and kbo_greater(atoms[j], atoms[i]) for j in range(len(atoms)))
+        )
+        return maximal or tuple(range(len(literals)))
 
     # -- main loop -------------------------------------------------------------
 
@@ -360,10 +339,10 @@ class ResolutionProver:
         """Search for the empty clause.
 
         ``support`` marks the initial set of support (by clause value;
-        normally the clauses of the negated goal).  Under
-        ``strategy="sos"`` only these clauses and their descendants become
-        given clauses; the rest of the input is activated immediately and
-        never initiates an inference.  ``deadline`` bounds the run (a fresh
+        normally the clauses of the negated goal).  With a non-empty
+        support only these clauses and their descendants become given
+        clauses; the rest of the input is activated immediately and never
+        initiates an inference.  Without one the loop is undirected.  ``deadline`` bounds the run (a fresh
         deadline of ``max_seconds`` applies when omitted); the loop polls it
         via ``checkpoint`` on every hot path, so on expiry it returns a
         ``"timeout"`` result recording the work done so far.
@@ -382,7 +361,7 @@ class ResolutionProver:
         equality_axioms = list(_equality_axioms(_collect_signature(initial)))
 
         support_set = frozenset(support) if support else frozenset()
-        sos = self.strategy == "sos" and bool(support_set)
+        sos = bool(support_set)
 
         passive = _PassiveQueue(self.age_weight_ratio)
         #: Active clauses by id (ids index the literal store for self-detection).
@@ -471,17 +450,18 @@ class ResolutionProver:
                 given_id, given = activate(simplified)
                 processed += 1
 
-                if self.backward_subsumption:
-                    # Discard active clauses the new clause subsumes: they
-                    # (and their would-be resolvents) are redundant now.
-                    for candidate_id, candidate in list(active.items()):
-                        if candidate_id == given_id:
-                            continue
-                        deadline.checkpoint(every=128, detail=progress)
-                        if subsumes(given, candidate):
-                            del active[candidate_id]
-                            del eligible[candidate_id]
-                            literal_index.remove(candidate_id)
+                # Backward subsumption: discard active clauses the new
+                # clause subsumes.  A pure redundancy deletion — every
+                # resolvent through a subsumed clause is subsumed by one
+                # through the subsumer — so it only shrinks the active set.
+                for candidate_id, candidate in list(active.items()):
+                    if candidate_id == given_id:
+                        continue
+                    deadline.checkpoint(every=128, detail=progress)
+                    if subsumes(given, candidate):
+                        del active[candidate_id]
+                        del eligible[candidate_id]
+                        literal_index.remove(candidate_id)
 
                 new_clauses: List[Clause] = []
                 given_eligible = eligible[given_id]

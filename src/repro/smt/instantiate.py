@@ -1,4 +1,4 @@
-"""Quantifier instantiation for the SMT prover: E-matching and ground modes.
+"""Quantifier instantiation for the SMT prover: E-matching.
 
 Modern SMT solvers handle quantified assumptions by *E-matching*: the solver
 infers trigger patterns for each universally quantified assumption, matches
@@ -6,13 +6,11 @@ the patterns against the congruence closure's term graph (so matching is
 modulo the equalities the current candidate model asserts, not merely
 syntactic), and asserts the resulting ground instances incrementally, one
 DPLL(T) round at a time.  This module implements that engine
-(:class:`EMatchEngine`, ``instantiation="ematch"``) alongside the original
-round-limited ground-term cross-product heuristic (:func:`ground_problem`,
-``instantiation="ground"``), which is kept both as a fallback for
-quantifiers with no inferable trigger and as the property-test baseline.
+(:class:`EMatchEngine`), with a bounded ground-term enumeration as the
+fallback for quantifiers with no inferable trigger.
 
-Trigger inference rules (``instantiation="ematch"``)
-----------------------------------------------------
+Trigger inference rules
+-----------------------
 
 For a universal ``ALL x1 ... xn. body`` the engine selects *triggers* —
 pattern sets matched against the E-graph — as follows:
@@ -37,8 +35,8 @@ pattern sets matched against the E-graph — as follows:
 4. *Fallback*: a quantifier with no trigger, or whose triggers produce no
    match in the first round (e.g. reflexivity ``ALL x. r x x``, whose only
    pattern has a repeated variable and therefore matches no term until an
-   ``r``-loop already exists), is instantiated once by the bounded
-   ground-term enumeration of the ``"ground"`` mode.
+   ``r``-loop already exists), is instantiated once by a bounded
+   enumeration over the ground terms asserted so far.
 
 Matching is *equivalence-aware*: a pattern position accepts any member of
 the target equivalence class with the right head symbol, and bound
@@ -71,7 +69,7 @@ from ..fol.terms import FApp, FTerm, FVar
 from ..form import ast as F
 from ..form.intern import TermBank
 from ..form.printer import to_str
-from ..form.rewrite import nnf, simplify
+from ..form.rewrite import nnf
 from ..form.subst import free_vars, fresh_name, substitute
 from ..form.types import INT, OBJ, Type
 from ..provers.base import Deadline
@@ -80,19 +78,15 @@ from .congruence import CongruenceClosure
 
 @dataclass
 class InstantiationConfig:
-    """Knobs of both instantiation modes; part of the SMT prover's
-    ``options_signature`` (and therefore of the sequent-cache key), so
-    verdicts computed under one configuration are never replayed under
-    another."""
+    """Instantiation limits; part of the SMT prover's ``options_signature``
+    (and therefore of the sequent-cache key), so verdicts computed under one
+    configuration are never replayed under another."""
 
-    #: ``"ematch"`` (incremental E-matching in the DPLL(T) loop) or
-    #: ``"ground"`` (one-shot ground-term cross-product up front).
-    mode: str = "ematch"
+    # -- fallback enumeration limits (trigger-less quantifiers) ---------------
+    #: Candidate ground terms tried per bound variable.
     max_candidates_per_sort: int = 8
+    #: Instances one fallback enumeration may emit.
     max_instances_per_formula: int = 64
-    max_total_formulas: int = 400
-    max_candidate_size: int = 4
-    rounds: int = 2
     # -- E-matching limits ----------------------------------------------------
     #: Alternative single-pattern triggers kept per quantifier.
     max_triggers: int = 3
@@ -118,24 +112,6 @@ class InstantiationConfig:
     #: match) is cut at the term level.  Sized to admit witness-shaped
     #: terms (tuples of field reads) while rejecting unfolding chains.
     max_substitution_size: int = 8
-
-
-@dataclass
-class GroundingResult:
-    """The outcome of :func:`ground_problem`: the ground formulas plus the
-    truncation accounting the prover surfaces in its answer detail (a
-    truncated grounding can only lose completeness, never soundness — but
-    it must be *loud*, or a mysterious UNKNOWN looks like a prover gap)."""
-
-    formulas: List[F.Term]
-    #: Instances dropped because a per-formula or total cap fired.
-    dropped: int = 0
-    #: Ground instances generated (for statistics).
-    instances: int = 0
-
-    @property
-    def truncated(self) -> bool:
-        return self.dropped > 0
 
 
 def ground_terms(formulas: Iterable[F.Term]) -> Tuple[List[F.Term], List[F.Term]]:
@@ -328,127 +304,6 @@ def _param_candidates(
         return obj_candidates or (F.NULL,)
     # Sets, functions and tuples are not instantiated by this heuristic.
     return ()
-
-
-def instantiate_universals(
-    formula: F.Term,
-    obj_candidates: Sequence[F.Term],
-    int_candidates: Sequence[F.Term],
-    config: InstantiationConfig,
-    result: Optional[GroundingResult] = None,
-) -> List[F.Term]:
-    """Produce ground instances of a universally quantified assumption.
-
-    ``result``, when given, accumulates the truncation accounting (instances
-    beyond ``max_instances_per_formula`` are *dropped*, which is sound but
-    must be surfaced).
-    """
-    if not (isinstance(formula, F.Quant) and formula.kind == "ALL"):
-        return [formula]
-    params = formula.params
-    candidate_lists = []
-    untruncated_total = 1
-    for _name, typ in params:
-        candidates = _param_candidates(typ, obj_candidates, int_candidates)
-        if not candidates:
-            # Cannot instantiate this sort: the whole assumption is dropped
-            # (sound weakening, but it must show in the accounting).
-            if result is not None:
-                result.dropped += 1
-            return []
-        untruncated_total *= len(candidates)
-        candidate_lists.append(list(candidates)[: config.max_candidates_per_sort])
-
-    instances: List[F.Term] = []
-    total = 1
-    for candidates in candidate_lists:
-        total *= len(candidates)
-    if result is not None and untruncated_total > total:
-        # The per-sort candidate cap is a truncation too: instances over the
-        # discarded candidates are silently lost without this.
-        result.dropped += untruncated_total - total
-    for combo in itertools.product(*candidate_lists):
-        if len(instances) >= config.max_instances_per_formula:
-            if result is not None:
-                result.dropped += total - len(instances)
-            break
-        mapping = {name: value for (name, _), value in zip(params, combo)}
-        instance = substitute(formula.body, mapping)
-        instances.append(instance)
-    # The instantiated body may itself start with a universal quantifier
-    # (nested ALL); recurse one level so `ALL x y.` written as nested
-    # binders still gets both variables instantiated.
-    out: List[F.Term] = []
-    for instance in instances:
-        instance = simplify(instance)
-        if isinstance(instance, F.Quant) and instance.kind == "ALL":
-            out.extend(
-                instantiate_universals(
-                    instance, obj_candidates, int_candidates, config, result
-                )
-            )
-        else:
-            out.append(instance)
-    return out
-
-
-def ground_problem(
-    assertions: Sequence[F.Term],
-    goal_terms: Sequence[F.Term] = (),
-    config: Optional[InstantiationConfig] = None,
-) -> GroundingResult:
-    """Turn a set of asserted formulas into ground formulas (``"ground"`` mode).
-
-    ``goal_terms`` are formulas whose ground subterms should be preferred as
-    instantiation candidates (typically the negated goal).  The result
-    carries the dropped-instance count: both caps
-    (``max_instances_per_formula`` and ``max_total_formulas``) silently
-    losing instances is exactly the failure mode the prover must report.
-    """
-    config = config or InstantiationConfig()
-    supply = SkolemSupply()
-    result = GroundingResult(formulas=[])
-    current = [simplify(nnf(a)) for a in assertions]
-
-    for _round in range(config.rounds):
-        # Skolemize before harvesting: witness constants of top-level
-        # existentials are instantiation candidates of the *same* round
-        # (previously a universal was consumed one round before the
-        # witnesses it needed became visible).
-        current = [skolemize_existentials(f, supply) for f in current]
-        goal_objs, goal_ints = ground_terms(list(goal_terms))
-        all_objs, all_ints = ground_terms(current)
-        # Goal terms first: relevance heuristic.
-        obj_candidates = goal_objs + [t for t in all_objs if t not in goal_objs]
-        int_candidates = goal_ints + [t for t in all_ints if t not in goal_ints]
-        if F.NULL not in obj_candidates:
-            obj_candidates.append(F.NULL)
-
-        next_formulas: List[F.Term] = []
-        for index, formula in enumerate(current):
-            if isinstance(formula, F.Quant) and formula.kind == "ALL":
-                produced = instantiate_universals(
-                    formula, obj_candidates, int_candidates, config, result
-                )
-                result.instances += len(produced)
-                next_formulas.extend(
-                    skolemize_existentials(simplify(p), supply) for p in produced
-                )
-            else:
-                next_formulas.append(formula)
-            if len(next_formulas) > config.max_total_formulas:
-                # Every assertion the loop never reached is silently lost
-                # without this accounting — surface it.
-                result.dropped += len(current) - index - 1
-                result.dropped += len(next_formulas) - config.max_total_formulas
-                next_formulas = next_formulas[: config.max_total_formulas]
-                break
-        current = [simplify(f) for f in next_formulas]
-        if all(not _has_quantifier(f) for f in current):
-            break
-
-    result.formulas = [drop_remaining_quantifiers(f) for f in current]
-    return result
 
 
 def _has_quantifier(formula: F.Term) -> bool:
@@ -685,9 +540,9 @@ class EMatchEngine:
         self.deadline = deadline or Deadline.never()
         #: Per-attempt term bank: instances share interned subterm objects,
         #: so printing and normalisation of the shared DAG are memoised by
-        #: identity.  ``None`` runs the engine without hash-consing.
-        self.bank = bank
-        self._printed = bank.printed if bank is not None else to_str
+        #: identity.
+        self.bank = bank if bank is not None else TermBank()
+        self._printed = self.bank.printed
         self.supply = SkolemSupply()
         #: Witness generation per Skolem constant name (see
         #: ``InstantiationConfig.max_skolem_generation``).
@@ -706,19 +561,16 @@ class EMatchEngine:
 
     def _normalise(self, formula: F.Term) -> F.Term:
         """``simplify(nnf(...))`` — through the bank's identity-keyed memo
-        (and interned) when one is attached."""
-        if self.bank is not None:
-            return self.bank.normalised(formula)
-        return simplify(nnf(formula))
+        (and interned)."""
+        return self.bank.normalised(formula)
 
     # -- assertion intake ------------------------------------------------------
 
     def _assert(self, formula: F.Term) -> None:
         formula = hoist_universals(skolemize_existentials(formula, self.supply))
-        if self.bank is not None:
-            # Canonicalise so every later per-node cache (printing, NNF,
-            # harvest) hits on the shared subterm objects.
-            formula = self.bank.intern(formula)
+        # Canonicalise so every later per-node cache (printing, NNF,
+        # harvest) hits on the shared subterm objects.
+        formula = self.bank.intern(formula)
         if isinstance(formula, F.And):
             for arg in formula.args:
                 self._assert(arg)
@@ -1051,8 +903,7 @@ class EMatchEngine:
         instance = drop_remaining_quantifiers(instance)
         if isinstance(instance, F.BoolLit) and instance.value:
             return True
-        if self.bank is not None:
-            instance = self.bank.intern(instance)
+        instance = self.bank.intern(instance)
         printed_instance = self._printed(instance)
         if printed_instance in self._asserted:
             return True
@@ -1116,7 +967,7 @@ def _evaluates_true(
     """Three-valued evaluation: True only when the formula is certainly
     true under the candidate model's atom valuation (unknown atoms make the
     result unknown, never true).  ``printed`` renders atoms to valuation
-    keys (a bank's identity-memoised printer when interning is on)."""
+    keys (the prover passes its bank's identity-memoised printer)."""
     result = _eval3(formula, valuation, printed)
     return result is True
 

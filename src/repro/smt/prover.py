@@ -8,29 +8,27 @@ A lazy SMT loop over ground formulas:
    sequent is rewritten and approximated into the ground fragment
    (:mod:`repro.provers.approximation`),
 2. quantifiers are handled by the instantiation engine of
-   :mod:`repro.smt.instantiate` — either incremental E-matching against the
-   congruence closure's term graph (``instantiation="ematch"``, the
-   default) or the one-shot ground cross-product (``"ground"``),
+   :mod:`repro.smt.instantiate` — incremental E-matching against the
+   congruence closure's term graph,
 3. the ground refutation problem is Tseitin-encoded into CNF and solved by
    the DPLL core (:mod:`repro.smt.sat`),
 4. every propositional model is checked against the theories — congruence
    closure for equality/uninterpreted functions and Fourier–Motzkin for
    linear integer arithmetic — and refuted models are blocked with a new
-   clause; in E-matching mode a theory-consistent model additionally
-   triggers an instantiation round (its equalities refine the term graph),
-   and only when no new instance can be generated does the prover give up.
+   clause; a theory-consistent model additionally triggers an
+   instantiation round (its equalities refine the term graph), and only
+   when no new instance can be generated does the prover give up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..fol.clausify import ClausificationError, Clausifier
 from ..fol.hol2fol import reify_reachability
 from ..form import ast as F
 from ..form.intern import TermBank
-from ..form.printer import to_str
 from ..provers.approximation import (
     drop_unsupported_assumptions,
     is_ground_smt_atom,
@@ -48,7 +46,7 @@ from ..provers.base import (
 )
 from ..vcgen.sequent import Sequent
 from .congruence import euf_conflict_tags
-from .instantiate import EMatchEngine, InstantiationConfig, ground_problem
+from .instantiate import EMatchEngine, InstantiationConfig
 from .lia import check_lia, is_arith_atom
 from .sat import SatSolver
 
@@ -57,11 +55,10 @@ class _TseitinEncoder:
     """CNF encoding of ground formulas; atoms are shared by printed form.
 
     ``printed`` renders atoms to their sharing key — a
-    :class:`repro.form.intern.TermBank`'s identity-memoised printer when
-    interning is on, plain ``to_str`` otherwise.
+    :class:`repro.form.intern.TermBank`'s identity-memoised printer.
     """
 
-    def __init__(self, printed=to_str) -> None:
+    def __init__(self, printed) -> None:
         self.atom_ids: Dict[str, int] = {}
         self.atoms: Dict[int, F.Term] = {}
         self.clauses: List[List[int]] = []
@@ -172,23 +169,22 @@ def _mentions_card(formula: F.Term) -> bool:
 
 @dataclass
 class SmtStatistics:
-    instances: int = 0
     atoms: int = 0
     theory_conflicts: int = 0
-    ematch_rounds: int = 0
-    quantifiers: int = 0
-    dropped: int = 0
 
 
 class SmtProver(Prover):
     """The ground SMT prover of the portfolio.
 
-    ``instantiation`` selects the quantifier-instantiation engine: the
-    string ``"ematch"`` / ``"ground"``, or a full
-    :class:`repro.smt.instantiate.InstantiationConfig` for fine-grained
-    limits.  The configuration (mode included) is part of
-    :meth:`options_signature`, so cached verdicts computed under one
-    instantiation setting are never replayed under another.
+    ``instantiation`` is an optional
+    :class:`repro.smt.instantiate.InstantiationConfig` with the E-matching
+    limits.  Its fields are part of :meth:`options_signature`, so cached
+    verdicts computed under one instantiation setting are never replayed
+    under another.
+
+    Cardinality goals are answered UNSUPPORTED at once: the ground SMT
+    fragment has no cardinality reasoning (BAPA's job), so those attempts
+    could only burn their budget in the E-matcher.
     """
 
     name = "smt"
@@ -202,31 +198,14 @@ class SmtProver(Prover):
         self,
         timeout: float = 3.0,
         max_theory_iterations: int = 300,
-        instantiation: Union[str, InstantiationConfig, None] = None,
-        interning: bool = True,
-        incremental: bool = True,
-        fragment_gate: bool = True,
+        instantiation: Optional[InstantiationConfig] = None,
     ) -> None:
         super().__init__(timeout=timeout)
         self.max_theory_iterations = max_theory_iterations
-        #: Hash-cons terms through a per-attempt :class:`TermBank` (identity
-        #: sharing + memoised printing/normalisation).  Off reproduces the
-        #: pre-interning engine for benchmarking.
-        self.interning = interning
-        #: Keep the SAT core's trail across DPLL(T) iterations (resume from
-        #: the highest consistent decision level after each blocking clause)
-        #: instead of re-solving from scratch.
-        self.incremental = incremental
-        #: Answer UNSUPPORTED immediately on cardinality goals: the ground
-        #: SMT fragment has no cardinality reasoning (BAPA's job), so those
-        #: attempts can only burn their budget in the E-matcher.
-        self.fragment_gate = fragment_gate
-        if isinstance(instantiation, str):
-            if instantiation not in ("ematch", "ground"):
-                raise ValueError(
-                    f"unknown instantiation {instantiation!r}; expected 'ematch' or 'ground'"
-                )
-            instantiation = InstantiationConfig(mode=instantiation)
+        if instantiation is not None and not isinstance(instantiation, InstantiationConfig):
+            raise TypeError(
+                f"instantiation must be an InstantiationConfig, got {instantiation!r}"
+            )
         self.instantiation = instantiation or InstantiationConfig()
 
     # -- main entry point ------------------------------------------------------
@@ -261,7 +240,7 @@ class SmtProver(Prover):
                 detail="goal trivial after approximation",
                 phases=dict(timer.phases),
             )
-        if self.fragment_gate and _mentions_card(goal):
+        if _mentions_card(goal):
             return ProverAnswer(
                 Verdict.UNSUPPORTED,
                 self.name,
@@ -275,35 +254,24 @@ class SmtProver(Prover):
         # consume the per-round budget before the saturating axiom sets.
         assertions = [a.formula for a in prepared.assumptions] + [F.Not(goal)] + axioms
 
-        bank = TermBank() if self.interning else None
-        printed = bank.printed if bank is not None else to_str
+        bank = TermBank()
         config = self.instantiation
         stats = SmtStatistics()
-        engine: Optional[EMatchEngine] = None
         with timer("instantiation"):
-            if config.mode == "ematch":
-                engine = EMatchEngine(assertions, config, deadline, bank=bank)
-                # Instantiation is purely model-driven: the first SAT model of
-                # the ground skeleton triggers round 1.  (An eager modelless
-                # round floods the SAT core with unfilterable instances — with
-                # no valuation, nothing counts as satisfied.)
-                ground = list(engine.ground)
-                stats.quantifiers = engine.stats.quantifiers
-            else:
-                grounding = ground_problem(
-                    assertions, goal_terms=[F.Not(goal)], config=config
-                )
-                ground = grounding.formulas
-                stats.instances = grounding.instances
-                stats.dropped = grounding.dropped
+            engine = EMatchEngine(assertions, config, deadline, bank=bank)
+            # Instantiation is purely model-driven: the first SAT model of
+            # the ground skeleton triggers round 1.  (An eager modelless
+            # round floods the SAT core with unfilterable instances — with
+            # no valuation, nothing counts as satisfied.)
+            ground = list(engine.ground)
         if deadline.expired():
             return self._answer(
-                Verdict.TIMEOUT, stats, engine,
+                Verdict.TIMEOUT, engine,
                 f"timeout during grounding: {len(ground)} ground formulas",
                 timer,
             )
 
-        encoder = _TseitinEncoder(printed=printed)
+        encoder = _TseitinEncoder(printed=bank.printed)
         with timer("clausify"):
             for formula in ground:
                 simplified = _split_integer_disequalities(formula)
@@ -313,7 +281,7 @@ class SmtProver(Prover):
 
         if not encoder.clauses:
             return self._answer(
-                Verdict.UNKNOWN, stats, engine, "nothing to refute", timer
+                Verdict.UNKNOWN, engine, "nothing to refute", timer
             )
 
         clausifier = Clausifier(bank=bank)
@@ -321,7 +289,7 @@ class SmtProver(Prover):
         #: variable per distinct atom, so this is keyed O(1) instead of by
         #: printed form; it shares the clausifier's lifetime).
         euf_memo: Dict[int, object] = {}
-        solver = SatSolver(encoder.num_vars, incremental=self.incremental)
+        solver = SatSolver(encoder.num_vars)
         solver.add_clauses(encoder.clauses)
         encoded_upto = len(encoder.clauses)
 
@@ -329,7 +297,7 @@ class SmtProver(Prover):
             stats.atoms = len(encoder.atom_ids)
             if deadline.expired():
                 return self._answer(
-                    Verdict.TIMEOUT, stats, engine,
+                    Verdict.TIMEOUT, engine,
                     f"timeout in DPLL(T) loop: {_iteration} iterations, "
                     f"{stats.theory_conflicts} theory conflicts",
                     timer,
@@ -338,7 +306,7 @@ class SmtProver(Prover):
                 result = solver.solve(deadline=deadline)
             if not result.satisfiable:
                 return self._answer(
-                    Verdict.PROVED, stats, engine,
+                    Verdict.PROVED, engine,
                     f"unsat: {stats.atoms} atoms, "
                     f"{stats.theory_conflicts} theory conflicts",
                     timer,
@@ -351,9 +319,9 @@ class SmtProver(Prover):
                 stats.theory_conflicts += 1
                 solver.add_clause(blocking)
                 continue
-            # Theory-consistent model: in E-matching mode, let the model's
-            # equalities refine the term graph and instantiate once more.
-            if engine is not None and engine.stats.rounds < config.ematch_rounds:
+            # Theory-consistent model: let the model's equalities refine the
+            # term graph and instantiate once more.
+            if engine.stats.rounds < config.ematch_rounds:
                 with timer("instantiation"):
                     pooled_before = len(engine.quantifiers)
                     new_instances = engine.round(
@@ -376,13 +344,13 @@ class SmtProver(Prover):
                     # progress, not saturation.
                     continue
             return self._answer(
-                Verdict.UNKNOWN, stats, engine,
+                Verdict.UNKNOWN, engine,
                 "theory-consistent propositional model found",
                 timer,
             )
 
         return self._answer(
-            Verdict.UNKNOWN, stats, engine, "theory conflict limit reached", timer
+            Verdict.UNKNOWN, engine, "theory conflict limit reached", timer
         )
 
     # -- helpers ---------------------------------------------------------------
@@ -415,29 +383,22 @@ class SmtProver(Prover):
     def _answer(
         self,
         verdict: Verdict,
-        stats: SmtStatistics,
-        engine: Optional[EMatchEngine],
+        engine: EMatchEngine,
         detail: str,
         timer: Optional[PhaseTimer] = None,
     ) -> ProverAnswer:
-        if engine is not None:
-            stats.instances = engine.stats.instances
-            stats.ematch_rounds = engine.stats.rounds
-            stats.quantifiers = engine.stats.quantifiers
-            stats.dropped += engine.stats.dropped
-            detail += (
-                f" [ematch: {stats.instances} instances, "
-                f"{stats.ematch_rounds} rounds, {stats.quantifiers} quantifiers]"
-            )
-        else:
-            detail += f" [ground: {stats.instances} instances]"
-        if stats.dropped:
-            detail += f" ({stats.dropped} instances dropped by limits)"
+        counts = engine.stats
+        detail += (
+            f" [ematch: {counts.instances} instances, "
+            f"{counts.rounds} rounds, {counts.quantifiers} quantifiers]"
+        )
+        if counts.dropped:
+            detail += f" ({counts.dropped} instances dropped by limits)"
         return ProverAnswer(
             verdict,
             self.name,
             detail=detail,
-            instances=stats.instances,
+            instances=counts.instances,
             phases=dict(timer.phases) if timer is not None else {},
         )
 

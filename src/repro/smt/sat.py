@@ -11,21 +11,18 @@ levels, watched-literal propagation, first-UIP conflict analysis with
 clause learning and non-chronological backjumping, and an activity-bumped
 decision heuristic.
 
-Incrementality (the default, ``incremental=True``): the trail, watch lists,
-variable activities and learned clauses all persist across ``solve`` calls.
-A clause added between calls is *integrated* into the live search state: if
-it is falsified by the current assignment the solver backjumps only far
-enough to open it (to the clause's second-highest decision level, where it
-becomes asserting), so the DPLL(T) loop resumes from the highest consistent
-decision level after each theory blocking clause instead of re-deciding
-every variable.  ``solve(assumptions=...)`` posts literals as pseudo
-decision levels below the search, MiniSat style: a conflict that learns the
-negation of an assumption surfaces as ``SatResult(False)`` for that call
-without poisoning the solver (only a level-0 conflict is recorded as
-permanently unsatisfiable).  ``incremental=False`` reproduces the previous
-engine exactly — every call rebuilds watches, activities and the trail from
-scratch (learned clauses and phases still persist) — and is kept as the
-measured baseline for ``benchmarks/bench_hot_paths.py``.
+Incrementality: the trail, watch lists, variable activities and learned
+clauses all persist across ``solve`` calls.  A clause added between calls
+is *integrated* into the live search state: if it is falsified by the
+current assignment the solver backjumps only far enough to open it (to the
+clause's second-highest decision level, where it becomes asserting), so
+the DPLL(T) loop resumes from the highest consistent decision level after
+each theory blocking clause instead of re-deciding every variable.
+``solve(assumptions=...)`` posts literals as pseudo decision levels below
+the search, MiniSat style: a conflict that learns the negation of an
+assumption surfaces as ``SatResult(False)`` for that call without
+poisoning the solver (only a level-0 conflict is recorded as permanently
+unsatisfiable).
 
 Correctness note on the watch scheme: a clause is re-scanned in full
 whenever one of its watched literals is falsified, and its watches are
@@ -56,10 +53,8 @@ class SatResult:
 class SatSolver:
     """CDCL with watched literals, 1-UIP learning and activity decisions."""
 
-    def __init__(self, num_vars: int, incremental: bool = True) -> None:
+    def __init__(self, num_vars: int) -> None:
         self.num_vars = num_vars
-        self.incremental = incremental
-        self.clauses: List[List[int]] = []
         #: Learned clauses persisted across ``solve`` calls.  Sound: a
         #: learned clause is implied by the clause set it was derived from,
         #: and the set only ever grows between calls.
@@ -69,7 +64,7 @@ class SatSolver:
         #: Cap on the persisted learned-clause store (long clauses are weak
         #: and slow propagation; beyond the cap the longest are dropped).
         self._max_learned = 4000
-        # -- persistent search state (incremental mode) ---------------------
+        # -- persistent search state ------------------------------------------
         #: The live clause database: inputs and learned clauses interleaved
         #: in integration order.  Clause indices (watches, reasons) refer to
         #: this list.
@@ -94,10 +89,7 @@ class SatSolver:
         self._last_assumptions: Tuple[int, ...] = ()
 
     def add_clause(self, clause: Sequence[int]) -> None:
-        clause = list(dict.fromkeys(clause))
-        self.clauses.append(clause)
-        if self.incremental:
-            self._pending.append(clause)
+        self._pending.append(list(dict.fromkeys(clause)))
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         for clause in clauses:
@@ -121,12 +113,10 @@ class SatSolver:
         with no assumptions it means the clause set itself is unsatisfiable
         (and the solver remembers that permanently).
         """
-        if not self.incremental:
-            return self._solve_scratch(max_decisions, deadline)
-        return self._solve_incremental(max_decisions, deadline, tuple(assumptions))
+        return self._solve(max_decisions, deadline, tuple(assumptions))
 
     # ------------------------------------------------------------------
-    # incremental engine
+    # search state
     # ------------------------------------------------------------------
 
     def _value(self, lit: int) -> Optional[bool]:
@@ -389,7 +379,7 @@ class SatSolver:
                 return variable
         return None
 
-    def _solve_incremental(
+    def _solve(
         self,
         max_decisions: int,
         deadline: Optional[Deadline],
@@ -464,216 +454,3 @@ class SatSolver:
             self._trail_lim.append(len(self._trail))
             polarity = self._saved_phase.get(decision, False)
             self._enqueue(decision if polarity else -decision, reason=None)
-
-    # ------------------------------------------------------------------
-    # from-scratch engine (the measured pre-incremental baseline)
-    # ------------------------------------------------------------------
-
-    def _solve_scratch(
-        self, max_decisions: int = 200000, deadline: Optional[Deadline] = None
-    ) -> SatResult:
-        """The previous per-call engine: rebuilds watches, activities and the
-        trail on every call (learned clauses and phases persist)."""
-        clauses = [list(c) for c in self.clauses]
-        if any(not clause for clause in clauses):
-            return SatResult(False)
-        first_learned = len(clauses)
-        clauses.extend(list(c) for c in self._learned)
-
-        assign: Dict[int, bool] = {}
-        level_of: Dict[int, int] = {}
-        reason_of: Dict[int, Optional[int]] = {}
-        trail: List[int] = []
-        trail_lim: List[int] = []  # trail indices where each decision level starts
-
-        watches: Dict[int, List[int]] = {}
-
-        def watch_clause(index: int) -> None:
-            clause = clauses[index]
-            watches.setdefault(clause[0], []).append(index)
-            if len(clause) > 1:
-                watches.setdefault(clause[1], []).append(index)
-
-        for index in range(len(clauses)):
-            watch_clause(index)
-
-        activity: Dict[int, float] = {}
-        for clause in clauses:
-            for literal in clause:
-                activity[abs(literal)] = activity.get(abs(literal), 0.0) + 1.0
-        #: Max-heap of (-activity, var) with lazy deletion: bumps push a
-        #: fresh entry, pops skip assigned vars (stale lower-score entries
-        #: surface later and are skipped the same way).
-        heap: List = [(-score, var) for var, score in activity.items()]
-        heapq.heapify(heap)
-        #: Phase saving: last assigned polarity per variable.
-        saved_phase = self._saved_phase
-
-        def current_level() -> int:
-            return len(trail_lim)
-
-        def value(lit: int) -> Optional[bool]:
-            var_value = assign.get(abs(lit))
-            if var_value is None:
-                return None
-            return var_value == (lit > 0)
-
-        def enqueue(lit: int, reason: Optional[int]) -> bool:
-            existing = value(lit)
-            if existing is not None:
-                return existing
-            variable = abs(lit)
-            assign[variable] = lit > 0
-            level_of[variable] = current_level()
-            reason_of[variable] = reason
-            trail.append(lit)
-            return True
-
-        ticks = 0
-
-        def propagate(start: int) -> Optional[int]:
-            """Propagate trail[start:]; returns a conflicting clause index."""
-            nonlocal ticks
-            head = start
-            while head < len(trail):
-                false_lit = -trail[head]
-                head += 1
-                ticks += 1
-                if deadline is not None and ticks % 128 == 0:
-                    deadline.checkpoint(
-                        detail=lambda: f"DPLL interrupted: {len(trail)} literals assigned"
-                    )
-                watching = watches.get(false_lit)
-                if not watching:
-                    continue
-                position = 0
-                while position < len(watching):
-                    clause_index = watching[position]
-                    position += 1
-                    clause = clauses[clause_index]
-                    true_literal = None
-                    open_literals: List[int] = []
-                    for candidate in clause:
-                        candidate_value = value(candidate)
-                        if candidate_value is True:
-                            true_literal = candidate
-                            break
-                        if candidate_value is None:
-                            open_literals.append(candidate)
-                            if len(open_literals) >= 2:
-                                break
-                    if true_literal is not None:
-                        watches.setdefault(true_literal, []).append(clause_index)
-                        continue
-                    if len(open_literals) >= 2:
-                        watches.setdefault(open_literals[0], []).append(clause_index)
-                        continue
-                    if len(open_literals) == 1:
-                        unit = open_literals[0]
-                        watches.setdefault(unit, []).append(clause_index)
-                        enqueue(unit, reason=clause_index)
-                        continue
-                    watches[false_lit] = [clause_index] + watching[position:]
-                    return clause_index
-                del watches[false_lit]
-            return None
-
-        def analyze(conflict_index: int) -> Tuple[List[int], int]:
-            learned_tail: List[int] = []
-            seen: Dict[int, bool] = {}
-            counter = 0
-            resolve_lit: Optional[int] = None
-            index = len(trail) - 1
-            reason_clause = clauses[conflict_index]
-            while True:
-                for q in reason_clause:
-                    if resolve_lit is not None and q == resolve_lit:
-                        continue
-                    variable = abs(q)
-                    if seen.get(variable) or level_of.get(variable, 0) == 0:
-                        continue
-                    seen[variable] = True
-                    activity[variable] = activity.get(variable, 0.0) + bump
-                    heapq.heappush(heap, (-activity[variable], variable))
-                    if level_of[variable] == current_level():
-                        counter += 1
-                    else:
-                        learned_tail.append(q)
-                while not seen.get(abs(trail[index])):
-                    index -= 1
-                resolve_lit = trail[index]
-                index -= 1
-                counter -= 1
-                if counter == 0:
-                    break
-                reason_clause = clauses[reason_of[abs(resolve_lit)]]
-            learned_tail.sort(key=lambda q: -level_of[abs(q)])
-            learned = [-resolve_lit] + learned_tail
-            backjump_level = level_of[abs(learned_tail[0])] if learned_tail else 0
-            return learned, backjump_level
-
-        def backjump(target_level: int) -> None:
-            cut = trail_lim[target_level]
-            for lit in trail[cut:]:
-                variable = abs(lit)
-                saved_phase[variable] = assign[variable]
-                del assign[variable]
-                del level_of[variable]
-                del reason_of[variable]
-                heapq.heappush(heap, (-activity.get(variable, 0.0), variable))
-            del trail[cut:]
-            del trail_lim[target_level:]
-
-        def decide() -> Optional[int]:
-            while heap:
-                _score, variable = heapq.heappop(heap)
-                if variable not in assign:
-                    return variable
-            return None
-
-        budget = max_decisions
-        bump = 1.0
-        conflicts_until_restart = 100
-        restart_interval = 100
-        start = 0
-        try:
-            while True:
-                conflict = propagate(start)
-                if conflict is not None:
-                    if current_level() == 0:
-                        return SatResult(False)
-                    learned, backjump_level = analyze(conflict)
-                    bump *= 1.05
-                    if bump > 1e100:
-                        for variable in activity:
-                            activity[variable] /= 1e100
-                        bump /= 1e100
-                        heap = [(-activity.get(v, 0.0), v) for v in activity if v not in assign]
-                        heapq.heapify(heap)
-                    conflicts_until_restart -= 1
-                    restart = conflicts_until_restart <= 0 and current_level() > 1
-                    if restart:
-                        restart_interval = int(restart_interval * 1.5)
-                        conflicts_until_restart = restart_interval
-                    backjump(0 if restart else backjump_level)
-                    clauses.append(learned)
-                    learned_index = len(clauses) - 1
-                    watch_clause(learned_index)
-                    start = len(trail)
-                    if not restart:
-                        enqueue(learned[0], reason=learned_index)
-                    continue
-                decision = decide()
-                if decision is None:
-                    return SatResult(True, dict(assign))
-                budget -= 1
-                if budget <= 0:
-                    return SatResult(True, dict(assign))
-                trail_lim.append(len(trail))
-                start = len(trail)
-                polarity = saved_phase.get(decision, False)
-                enqueue(decision if polarity else -decision, reason=None)
-        finally:
-            learned = clauses[first_learned:]
-            learned.sort(key=len)
-            self._learned = learned[: self._max_learned]

@@ -1,19 +1,22 @@
 """Property tests for the set-of-support + ordered resolution engine.
 
-Three properties pin the new strategy layer to the trusted baseline (the
-PR-2 engine: ``strategy="fair"``, ``ordering="none"``, ``selection="none"``):
+Three properties pin the engine (set of support, KBO ordering,
+negative-literal selection and backward subsumption, all always on):
 
-* *soundness relative to fair*: on randomly generated clause sets, whenever
-  SOS+ordered resolution derives the empty clause, the fair strategy (run
-  with generous limits) derives it too — the restrictions may lose proofs,
-  never invent them;
-* *relative completeness*: on a corpus of small valid and invalid sequents,
-  the SOS+ordered prover and the fair prover return the same verdicts;
+* *soundness against small models*: on randomly generated clause sets,
+  whenever the engine derives the empty clause, an exhaustive search over
+  every interpretation with a domain of size 1 or 2 finds no model — the
+  restrictions may lose proofs, never invent them (the model search has a
+  self-test of its own, so a checker that never finds models cannot pass
+  vacuously);
+* *completeness on a corpus*: small valid sequents are proved and small
+  invalid ones are not;
 * *index exactness*: the top-symbol literal index retrieves exactly the
   resolution partners the naive all-pairs scan finds, and the subsumption
   index agrees clause-for-clause with the naive subsumer scan.
 """
 
+import itertools
 import random
 
 import pytest
@@ -83,39 +86,175 @@ def _canonical(clause: Clause) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Soundness: SOS+ordered refutations are fair refutations
+# Soundness: a refuted clause set has no small model
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_sos_ordered_never_refutes_what_fair_cannot(seed):
+def _signature(clauses):
+    """Function symbols (constants included) and predicates with arities;
+    ``=`` is interpreted as identity and therefore not a symbol here."""
+    functions, predicates = {}, {}
+
+    def visit(term):
+        if isinstance(term, FApp):
+            functions[term.func] = len(term.args)
+            for arg in term.args:
+                visit(arg)
+
+    for clause in clauses:
+        for lit in clause.literals:
+            if lit.pred != "=":
+                predicates[lit.pred] = len(lit.args)
+            for arg in lit.args:
+                visit(arg)
+    return functions, predicates
+
+
+def _clause_vars(clause):
+    names = []
+
+    def visit(term):
+        if isinstance(term, FVar):
+            if term.name not in names:
+                names.append(term.name)
+        else:
+            for arg in term.args:
+                visit(arg)
+
+    for lit in clause.literals:
+        for arg in lit.args:
+            visit(arg)
+    return names
+
+
+def _holds(clause, names, interpretation, size):
+    """Every grounding of ``clause`` over the domain satisfies a literal."""
+
+    def value(term, env):
+        if isinstance(term, FVar):
+            return env[term.name]
+        return interpretation[term.func][tuple(value(a, env) for a in term.args)]
+
+    for values in itertools.product(range(size), repeat=len(names)):
+        env = dict(zip(names, values))
+        satisfied = False
+        for lit in clause.literals:
+            args = tuple(value(a, env) for a in lit.args)
+            if lit.pred == "=":
+                truth = args[0] == args[1]
+            else:
+                truth = interpretation[lit.pred][args]
+            if truth == lit.positive:
+                satisfied = True
+                break
+        if not satisfied:
+            return False
+    return True
+
+
+def _has_model(clauses, max_size=2):
+    """Exhaustive model search over domains of size 1..``max_size``.
+
+    Only the symbols the clause set mentions are interpreted.  Symbols are
+    assigned one at a time, and each clause is checked as soon as all of
+    its symbols are assigned, so a refuted set prunes early.
+    """
+    functions, predicates = _signature(clauses)
+    symbols = [(name, arity, True) for name, arity in sorted(functions.items())]
+    symbols += [(name, arity, False) for name, arity in sorted(predicates.items())]
+    position = {name: i for i, (name, _arity, _func) in enumerate(symbols)}
+    # ready[i]: the clauses whose symbols are all among the first i.
+    ready = [[] for _ in range(len(symbols) + 1)]
+    for clause in clauses:
+        functions_of, predicates_of = _signature([clause])
+        mentioned = {**functions_of, **predicates_of}
+        level = max((position[name] + 1 for name in mentioned), default=0)
+        ready[level].append((clause, _clause_vars(clause)))
+
+    for size in range(1, max_size + 1):
+        interpretation = {}
+
+        def extend(i):
+            if not all(
+                _holds(clause, names, interpretation, size) for clause, names in ready[i]
+            ):
+                return False
+            if i == len(symbols):
+                return True
+            name, arity, is_function = symbols[i]
+            points = list(itertools.product(range(size), repeat=arity))
+            outputs = range(size) if is_function else (False, True)
+            for table in itertools.product(outputs, repeat=len(points)):
+                interpretation[name] = dict(zip(points, table))
+                if extend(i + 1):
+                    return True
+            del interpretation[name]
+            return False
+
+        if extend(0):
+            return True
+    return False
+
+
+def _atom(pred, *args, positive=True):
+    return Literal(positive, pred, tuple(
+        FVar(a) if a[0].isupper() else FApp(a, ()) for a in args
+    ))
+
+
+def test_small_model_checker_finds_models_and_their_absence():
+    # {p(a)}, {~p(b)}: satisfiable once a and b denote different elements.
+    assert _has_model([Clause((_atom("p", "a"),)), Clause((_atom("p", "b", positive=False),))])
+    # {p(X)}, {~p(a)}: unsatisfiable in every domain.
+    assert not _has_model([Clause((_atom("p", "X"),)), Clause((_atom("p", "a", positive=False),))])
+    # Equality is identity: p(a), ~p(b) and a = b have no model.
+    assert not _has_model([
+        Clause((_atom("p", "a"),)),
+        Clause((_atom("p", "b", positive=False),)),
+        Clause((_atom("=", "a", "b"),)),
+    ])
+    # Functions are interpreted too: f(a) = b, ~(f(c) = b), a = c has none.
+    f_of = lambda x: FApp("f", (FApp(x, ()),))  # noqa: E731
+    assert not _has_model([
+        Clause((Literal(True, "=", (f_of("a"), FApp("b", ()))),)),
+        Clause((Literal(False, "=", (f_of("c"), FApp("b", ()))),)),
+        Clause((_atom("=", "a", "c"),)),
+    ])
+
+
+#: Seeds of the random soundness corpus.
+_SOUNDNESS_SEEDS = list(range(40)) + list(range(3000, 3040))
+
+
+def _refute_random_set(seed):
     rng = random.Random(seed)
     clauses = _random_clause_set(rng)
     # Seed the support the way the prover does: the all-negative clauses
     # (the semantic set of support of the all-atoms-true interpretation).
     support = [c for c in clauses if all(not lit.positive for lit in c.literals)]
-    restricted = ResolutionProver(
-        max_seconds=2.0, strategy="sos", ordering="kbo", selection="negative"
-    )
-    result = restricted.refute(clauses, support=support)
+    return clauses, ResolutionProver(max_seconds=2.0).refute(clauses, support=support)
+
+
+@pytest.mark.parametrize("seed", _SOUNDNESS_SEEDS)
+def test_refuted_clause_sets_have_no_small_model(seed):
+    clauses, result = _refute_random_set(seed)
     if not result.refuted:
         return
-    fair = ResolutionProver(
-        max_seconds=10.0,
-        max_processed=20000,
-        max_generated=400000,
-        strategy="fair",
-        ordering="none",
-        selection="none",
+    assert not _has_model(clauses), (
+        f"seed {seed}: the engine refuted a clause set that has a model: "
+        f"{[str(c) for c in clauses]}"
     )
-    assert fair.refute(clauses).refuted, (
-        f"seed {seed}: SOS+ordered refuted a clause set the fair baseline "
-        f"does not refute: {[str(c) for c in clauses]}"
-    )
+
+
+def test_soundness_corpus_contains_refutations():
+    """The soundness property only bites on refuted sets: pin that the
+    corpus has enough of them (corpus too thin otherwise)."""
+    refuted = sum(_refute_random_set(seed)[1].refuted for seed in _SOUNDNESS_SEEDS)
+    assert refuted >= 10, f"only {refuted} refuted clause sets (corpus too thin)"
 
 
 # ---------------------------------------------------------------------------
-# Relative completeness: same verdicts on a small sequent corpus
+# Completeness on a small sequent corpus
 # ---------------------------------------------------------------------------
 
 _VALID = [
@@ -132,7 +271,7 @@ _VALID = [
     # Inconsistent assumptions: provable only through assumption-side
     # resolution — the case that forced the semantic (negative-clause) seed.
     # (The goal must share a symbol with the contradiction, or the
-    # relevance filter soundly drops it for both strategies.)
+    # relevance filter soundly drops it.)
     (["p a", "~ p a"], "p b"),
 ]
 
@@ -147,21 +286,19 @@ _INVALID = [
 ]
 
 
-def _verdict(assumptions, goal, **options):
+def _verdict(assumptions, goal):
     seq = sequent([parse(a) for a in assumptions], parse(goal))
-    return FirstOrderProver(timeout=5.0, **options).prove(seq).proved
+    return FirstOrderProver(timeout=5.0).prove(seq).proved
 
 
 @pytest.mark.parametrize("assumptions, goal", _VALID)
-def test_sos_agrees_with_fair_on_valid_sequents(assumptions, goal):
-    assert _verdict(assumptions, goal, strategy="fair", ordering="none", selection="none")
-    assert _verdict(assumptions, goal, strategy="sos", ordering="kbo", selection="negative")
+def test_valid_sequents_are_proved(assumptions, goal):
+    assert _verdict(assumptions, goal)
 
 
 @pytest.mark.parametrize("assumptions, goal", _INVALID)
-def test_sos_agrees_with_fair_on_invalid_sequents(assumptions, goal):
-    assert not _verdict(assumptions, goal, strategy="fair", ordering="none", selection="none")
-    assert not _verdict(assumptions, goal, strategy="sos", ordering="kbo", selection="negative")
+def test_invalid_sequents_are_not_proved(assumptions, goal):
+    assert not _verdict(assumptions, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -236,46 +373,8 @@ def test_unit_index_deletion_is_the_unit_resolvent():
 
 
 # ---------------------------------------------------------------------------
-# Backward subsumption (flagged) against the fair baseline
+# Backward subsumption
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_backward_subsumption_never_refutes_what_fair_cannot(seed):
-    """Backward subsumption deletes redundant active clauses; it may lose
-    proofs (within limits), never invent them."""
-    rng = random.Random(3000 + seed)
-    clauses = _random_clause_set(rng)
-    support = [c for c in clauses if all(not lit.positive for lit in c.literals)]
-    pruned = ResolutionProver(
-        max_seconds=2.0, strategy="sos", ordering="kbo", selection="negative",
-        backward_subsumption=True,
-    )
-    result = pruned.refute(clauses, support=support)
-    if not result.refuted:
-        return
-    fair = ResolutionProver(
-        max_seconds=10.0,
-        max_processed=20000,
-        max_generated=400000,
-        strategy="fair",
-        ordering="none",
-        selection="none",
-    )
-    assert fair.refute(clauses).refuted, (
-        f"seed {seed}: backward subsumption refuted a clause set the fair "
-        f"baseline does not refute: {[str(c) for c in clauses]}"
-    )
-
-
-@pytest.mark.parametrize("assumptions, goal", _VALID)
-def test_backward_subsumption_agrees_on_valid_sequents(assumptions, goal):
-    assert _verdict(assumptions, goal, backward_subsumption=True)
-
-
-@pytest.mark.parametrize("assumptions, goal", _INVALID)
-def test_backward_subsumption_agrees_on_invalid_sequents(assumptions, goal):
-    assert not _verdict(assumptions, goal, backward_subsumption=True)
 
 
 def test_literal_index_remove_drops_every_entry_of_the_clause():
@@ -293,35 +392,28 @@ def test_literal_index_remove_drops_every_entry_of_the_clause():
 
 def test_backward_subsumption_removes_subsumed_active_clause():
     """p(X) activated after p(a) | q(b) must evict it: the only resolvent
-    against ~p(c) then comes through the subsumer (the proof still closes)."""
+    against ~p(c) then comes through the subsumer (the proof still closes).
+    Without a support set the loop is undirected, so every clause is
+    activated in turn."""
     clauses = [
         Clause((Literal(True, "p", (FApp("a", ()),)), Literal(True, "q", (FApp("b", ()),)))),
         Clause((Literal(True, "p", (FVar("X"),)),)),
         Clause((Literal(False, "p", (FApp("c", ()),)),)),
     ]
-    pruned = ResolutionProver(
-        max_seconds=2.0, strategy="fair", ordering="none", selection="none",
-        backward_subsumption=True,
+    assert ResolutionProver(max_seconds=2.0).refute(clauses).refuted
+
+
+# ---------------------------------------------------------------------------
+# Only the limits key the verdict cache
+# ---------------------------------------------------------------------------
+
+
+def test_only_limits_are_part_of_the_options_signature():
+    """The search strategy is fixed, so only the budget and the clause
+    limits can split the verdict cache."""
+    keys = {part.split("=")[0] for part in FirstOrderProver().options_signature().split(";")}
+    assert keys == {"timeout", "max_processed", "max_generated"}
+    assert (
+        FirstOrderProver(max_processed=10).options_signature()
+        != FirstOrderProver().options_signature()
     )
-    assert pruned.refute(clauses).refuted
-
-
-# ---------------------------------------------------------------------------
-# Strategy knobs key the verdict cache
-# ---------------------------------------------------------------------------
-
-
-def test_strategy_knobs_are_part_of_the_options_signature():
-    base = FirstOrderProver()
-    assert "strategy='sos'" in base.options_signature()
-    assert "ordering='kbo'" in base.options_signature()
-    assert "selection='negative'" in base.options_signature()
-    assert "sos_seed='negative'" in base.options_signature()
-    assert "backward_subsumption=True" in base.options_signature()
-    assert "fragment_gate=True" in base.options_signature()
-    fair = FirstOrderProver(strategy="fair", ordering="none", selection="none")
-    assert base.options_signature() != fair.options_signature()
-    pruning = FirstOrderProver(backward_subsumption=False)
-    assert base.options_signature() != pruning.options_signature()
-    ungated = FirstOrderProver(fragment_gate=False)
-    assert base.options_signature() != ungated.options_signature()

@@ -75,6 +75,21 @@ def test_error_answer_keeps_the_connection_usable(client):
     assert client.ping()
 
 
+def test_removed_prover_option_is_rejected_and_the_connection_stays_usable(client):
+    """A prover keyword that no longer exists (the fixed resolution
+    strategy has no ``strategy`` knob) fails that request with an error
+    naming the keyword; the same connection then serves a ping and a
+    prove."""
+    with pytest.raises(VerifyServiceError, match="strategy"):
+        client.prove_sequents(
+            _corpus(1), provers=["syntactic", "fol"],
+            prover_options={"fol": {"strategy": "fair"}},
+        )
+    assert client.ping()
+    answer = client.prove_sequents(_corpus(1), provers=PROVERS, prover_options=OPTIONS)
+    assert answer["proved"] == 1
+
+
 # -- raw sequent batches ------------------------------------------------------
 
 

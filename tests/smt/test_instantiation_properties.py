@@ -1,6 +1,6 @@
 """Property tests for the E-matching instantiation engine.
 
-Three properties pin the engine (plus the ``"ground"`` mode it subsumes):
+Three properties pin the engine:
 
 * *instantiation soundness*: every instance the E-matcher emits is a
   substitution instance of its source quantifier — recomputing
@@ -11,10 +11,11 @@ Three properties pin the engine (plus the ``"ground"`` mode it subsumes):
   across different instances of one quantifier (the shared-constant
   skolemization of the previous engine was a genuine unsoundness, pinned
   here by a regression sequent it used to prove);
-* *corpus agreement*: on a valid/invalid sequent corpus,
-  ``instantiation="ematch"`` agrees with ``"ground"`` and with the fair
-  resolution baseline wherever either decides — the engines may differ in
-  power, never in direction.
+* *cross-engine agreement*: every sequent the SMT prover proves — on a
+  random corpus biased towards provable sequents, and on a fixed
+  valid/invalid corpus — the resolution prover proves too; invalid
+  sequents are proved by neither.  The engines may differ in power, never
+  in direction.
 """
 
 import random
@@ -30,7 +31,6 @@ from repro.smt.instantiate import (
     EMatchEngine,
     InstantiationConfig,
     Trigger,
-    ground_problem,
     infer_triggers,
 )
 from repro.smt.prover import SmtProver
@@ -119,27 +119,50 @@ def test_every_emitted_instance_is_a_substitution_instance(seed):
         )
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_ground_mode_instances_never_prove_what_fair_resolution_refutes(seed):
-    """Randomized cross-engine agreement: whenever the SMT prover (either
-    mode) proves assumptions |- goal from a random corpus, the fair
-    resolution baseline proves it too."""
-    rng = random.Random(1000 + seed)
+def _resolution():
+    """The default FOL engine with generous limits: the agreement oracle."""
+    return FirstOrderProver(timeout=10.0, max_processed=20000, max_generated=400000)
+
+
+def _random_agreement_sequent(rng):
+    """A random sequent, usually provable by construction: the goal is one
+    quantifier's conclusion instantiated at random ground terms, and the
+    instantiated hypotheses are among the facts.  Every third sequent
+    drops one of those hypotheses, so the corpus keeps unprovable ones."""
     quantifiers = [_random_quantifier(rng) for _ in range(rng.randint(1, 3))]
     facts = _random_ground_facts(rng)
-    goal = _random_atom(rng, [])
-    seq = sequent(list(quantifiers) + facts, goal)
-    fair = FirstOrderProver(
-        timeout=10.0, strategy="fair", ordering="none", selection="none",
-        max_processed=20000, max_generated=400000,
+    chosen = rng.choice(quantifiers)
+    mapping = {name: _random_ground_term(rng) for name, _ in chosen.params}
+    instance = substitute(chosen.body, mapping)
+    hypotheses = list(instance.lhs.args) if isinstance(instance.lhs, F.And) else [instance.lhs]
+    if rng.random() < 1 / 3:
+        hypotheses.pop(rng.randrange(len(hypotheses)))
+    return sequent(list(quantifiers) + facts + hypotheses, instance.rhs)
+
+
+_AGREEMENT_SEEDS = range(1000, 1030)
+
+
+@pytest.mark.parametrize("seed", _AGREEMENT_SEEDS)
+def test_smt_never_proves_what_resolution_cannot(seed):
+    """Randomized cross-engine agreement: whenever the SMT prover proves
+    assumptions |- goal from a random corpus, resolution proves it too."""
+    seq = _random_agreement_sequent(random.Random(seed))
+    if SmtProver(timeout=4.0).prove(seq).proved:
+        assert _resolution().prove(seq).proved, (
+            f"seed {seed}: smt proved a sequent resolution cannot: "
+            f"{to_str(seq.to_implication())}"
+        )
+
+
+def test_agreement_corpus_has_smt_proofs():
+    """The agreement property only bites on SMT proofs: pin that the
+    corpus has enough of them (corpus too thin otherwise)."""
+    proved = sum(
+        SmtProver(timeout=4.0).prove(_random_agreement_sequent(random.Random(seed))).proved
+        for seed in _AGREEMENT_SEEDS
     )
-    for mode in ("ematch", "ground"):
-        answer = SmtProver(timeout=4.0, instantiation=mode).prove(seq)
-        if answer.proved:
-            assert fair.prove(seq).proved, (
-                f"seed {seed}: smt[{mode}] proved a sequent fair resolution "
-                f"cannot: {to_str(seq.to_implication())}"
-            )
+    assert proved >= 10, f"smt proved only {proved} sequents (corpus too thin)"
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +173,9 @@ def test_ground_mode_instances_never_prove_what_fair_resolution_refutes(seed):
 def test_shared_skolem_regression_is_not_provable():
     """``ALL x. EX y. f y = x, a ~= b |- p (f a)`` is invalid; the previous
     engine skolemized the existential with one constant shared by every
-    instance and *proved* it.  Neither mode may."""
+    instance and *proved* it."""
     seq = sequent([parse("ALL x. EX y. f y = x"), parse("a ~= b")], parse("p (f a)"))
-    for mode in ("ematch", "ground"):
-        answer = SmtProver(timeout=5.0, instantiation=mode).prove(seq)
-        assert not answer.proved, f"mode {mode} proved an invalid sequent"
+    assert not SmtProver(timeout=5.0).prove(seq).proved
 
 
 def test_distinct_instances_get_distinct_witnesses():
@@ -176,7 +197,7 @@ def test_distinct_instances_get_distinct_witnesses():
 
 
 # ---------------------------------------------------------------------------
-# Corpus agreement: ematch vs ground vs fair resolution
+# Corpus agreement: E-matching vs resolution
 # ---------------------------------------------------------------------------
 
 _VALID = [
@@ -201,30 +222,26 @@ _INVALID = [
 ]
 
 
-def _smt_verdict(assumptions, goal, mode):
+def _smt_verdict(assumptions, goal):
     seq = sequent([parse(a) for a in assumptions], parse(goal))
-    return SmtProver(timeout=5.0, instantiation=mode).prove(seq).proved
+    return SmtProver(timeout=5.0).prove(seq).proved
 
 
-def _fair_verdict(assumptions, goal):
+def _resolution_verdict(assumptions, goal):
     seq = sequent([parse(a) for a in assumptions], parse(goal))
-    return FirstOrderProver(
-        timeout=5.0, strategy="fair", ordering="none", selection="none"
-    ).prove(seq).proved
+    return FirstOrderProver(timeout=5.0).prove(seq).proved
 
 
 @pytest.mark.parametrize("assumptions, goal", _VALID)
-def test_modes_agree_with_each_other_and_fair_on_valid_sequents(assumptions, goal):
-    assert _smt_verdict(assumptions, goal, "ematch")
-    assert _smt_verdict(assumptions, goal, "ground")
-    assert _fair_verdict(assumptions, goal)
+def test_ematch_and_resolution_prove_valid_sequents(assumptions, goal):
+    assert _smt_verdict(assumptions, goal)
+    assert _resolution_verdict(assumptions, goal)
 
 
 @pytest.mark.parametrize("assumptions, goal", _INVALID)
 def test_no_engine_proves_invalid_sequents(assumptions, goal):
-    assert not _smt_verdict(assumptions, goal, "ematch")
-    assert not _smt_verdict(assumptions, goal, "ground")
-    assert not _fair_verdict(assumptions, goal)
+    assert not _smt_verdict(assumptions, goal)
+    assert not _resolution_verdict(assumptions, goal)
 
 
 def test_nested_universal_instances_are_pooled_and_matched():
@@ -234,9 +251,9 @@ def test_nested_universal_instances_are_pooled_and_matched():
     seq = sequent(
         [parse("ALL x. p x --> (ALL y. r x y)"), parse("p a")], parse("r a b")
     )
-    assert SmtProver(timeout=5.0, instantiation="ematch").prove(seq).proved
+    assert SmtProver(timeout=5.0).prove(seq).proved
     invalid = sequent([parse("ALL x. p x --> (ALL y. r x y)")], parse("r a b"))
-    assert not SmtProver(timeout=3.0, instantiation="ematch").prove(invalid).proved
+    assert not SmtProver(timeout=3.0).prove(invalid).proved
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +296,19 @@ def test_arithmetic_heads_are_not_triggers():
 
 
 # ---------------------------------------------------------------------------
-# Grounding-cap accounting (the silent-truncation fix)
+# Instantiation-cap accounting (no silent truncation)
 # ---------------------------------------------------------------------------
 
 
-def test_ground_problem_reports_dropped_instances():
-    assertions = [parse("ALL x y. r x y --> r y x"), parse("r a b"), parse("r c d")]
-    tight = InstantiationConfig(mode="ground", max_instances_per_formula=2)
-    result = ground_problem(assertions, config=tight)
-    assert result.truncated
-    assert result.dropped > 0
-
-
-def test_truncated_grounding_yields_unknown_with_loud_detail():
-    """With the total-formula cap at 1 the needed instance is dropped: the
-    prover must answer UNKNOWN (never a wrong verdict) and say why."""
-    tight = InstantiationConfig(mode="ground", max_total_formulas=1, rounds=1)
-    seq = sequent(
-        [parse("ALL x. p x --> q x"), parse("ALL x. q x --> s x"), parse("p a")],
-        parse("s a"),
-    )
+def test_capped_instantiation_yields_unknown_with_loud_detail():
+    """With substitutions capped at single symbols, the one needed instance
+    (``x := f (f a)``) is dropped: the prover must answer UNKNOWN (never a
+    wrong verdict) and say why."""
+    seq = sequent([parse("ALL x. p x --> q x"), parse("p (f (f a))")], parse("q (f (f a))"))
+    tight = InstantiationConfig(max_substitution_size=1)
     answer = SmtProver(timeout=5.0, instantiation=tight).prove(seq)
     assert not answer.proved
     assert "dropped" in answer.detail, answer.detail
     # The same sequent proves under default limits (the cap, not the
     # engine, is what lost it).
-    assert SmtProver(timeout=5.0, instantiation="ground").prove(seq).proved
+    assert SmtProver(timeout=5.0).prove(seq).proved
