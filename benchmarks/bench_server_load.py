@@ -192,7 +192,9 @@ def _register_sleepy():
     """Register the sleepy prover: proves everything after ``delay`` seconds
     of deadline-polled sleep — a wall-clock-heavy, CPU-free stand-in for a
     slow decision procedure, so the lane-overlap speedup below is
-    deterministic even on a single core."""
+    deterministic even on a single core.  It must be registered before the
+    daemon's farm (``SERVER_LOAD_WORKERS`` > 1) forks its worker processes,
+    which rebuild their portfolios from the inherited registry."""
 
     from repro.provers.base import Prover, ProverAnswer, Verdict, registry
     from repro.provers.dispatcher import make_provers
@@ -255,9 +257,7 @@ def _mixed_config_wave(port):
 
 
 def _lanes_run(lanes):
-    server = VerifyServer(
-        port=0, window=0.01, lanes=lanes, workers=WORKERS, backend="thread"
-    ).start()
+    server = VerifyServer(port=0, window=0.01, lanes=lanes, workers=WORKERS).start()
     control = VerifyClient(port=server.port)
     try:
         wall, results = _mixed_config_wave(server.port)

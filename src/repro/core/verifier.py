@@ -16,13 +16,12 @@ names (``spass``, ``e``, ``z3``, ``cvc3``, ``isabelle``, ``coq``) as aliases.
 Scaling knobs (mapped onto the Figure 7 command line, see ROADMAP):
 
 * ``workers=N`` runs each split sequent's prover chain on a pool of N
-  workers (:class:`repro.provers.dispatcher.ParallelDispatcher`);
-  ``workers=1`` (the default) runs the chains inline in the calling
-  thread.  Every executor goes through the same dispatch path — cache
-  scan, chain and merge — so outcomes and per-prover statistics do not
-  depend on ``workers`` or ``backend``.  The default thread backend shares
-  the GIL, so for multi-core speedup of these pure-Python provers pass
-  ``backend="process"`` as well.
+  worker processes (:class:`repro.provers.dispatcher.ParallelDispatcher`),
+  so every chain runs in a process of its own with its full time budget,
+  as Jahob's external provers do; ``workers=1`` (the default)
+  runs the chains inline in the calling thread.  Both go through the same
+  dispatch path — cache scan, chain and merge — so outcomes and
+  per-prover statistics do not depend on ``workers``.
 * ``cache=`` takes a :class:`repro.provers.cache.SequentCache`; proved (and
   refuted) sequents are memoised under their structural digest, so
   re-verifying a method, a class, or the whole suite replays prior verdicts
@@ -91,7 +90,6 @@ def verify(
     always_syntactic_first: bool = True,
     workers: int = 1,
     cache: Optional[SequentCache] = None,
-    backend: str = "thread",
     sequent_budget: Optional[float] = None,
     dedup: bool = False,
     static_tier: bool = False,
@@ -133,7 +131,7 @@ def verify(
     report.  The verify daemon (:mod:`repro.server`) uses this to route
     sequents through its cross-request batcher while the report is still
     assembled here — which is what makes server-backed reports byte-identical
-    to local ones.  ``workers``/``cache``/``backend``/``sequent_budget``/
+    to local ones.  ``workers``/``cache``/``sequent_budget``/
     ``dedup`` are then the callable's concern and ignored locally.
     """
     parse_start = time.perf_counter()
@@ -150,8 +148,8 @@ def verify(
     if always_syntactic_first and "syntactic" not in names:
         names = ["syntactic"] + names
     if dispatch is None:
-        dispatch = ParallelDispatcher.from_names(
-            names, workers=workers, backend=backend, cache=cache,
+        dispatch = ParallelDispatcher(
+            names, workers=workers, cache=cache,
             sequent_budget=sequent_budget, dedup=dedup, static_tier=static_tier,
             race=race, ordering=ordering, race_stagger=race_stagger,
             **(prover_options or {}),
@@ -198,7 +196,6 @@ def verify_class(
     include_frame: bool = True,
     workers: int = 1,
     cache: Optional[SequentCache] = None,
-    backend: str = "thread",
     sequent_budget: Optional[float] = None,
     dedup: bool = False,
     static_tier: bool = False,
@@ -239,7 +236,6 @@ def verify_class(
                 include_frame=include_frame,
                 workers=workers,
                 cache=cache,
-                backend=backend,
                 sequent_budget=sequent_budget,
                 dedup=dedup,
                 static_tier=static_tier,

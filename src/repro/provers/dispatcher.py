@@ -1,5 +1,5 @@
-"""The prover dispatcher: one dispatch path over an inline, thread or
-process executor, with result caching.
+"""The prover dispatcher: one dispatch path, run inline or on a process
+pool, with result caching.
 
 This is the integrated-reasoning heart of the system (Sections 5.1-5.2): a
 verification condition is split into sequents, and every sequent is offered
@@ -19,9 +19,9 @@ ranking (``ordering=``, consulted when ``race >= 2``) and one scan of the
 chain order before any prover runs, and a cached ``PROVED`` anywhere in the
 chain settles the sequent.  The provers still open then run through one
 chain function, in waves of ``race`` (a wave of one is the classic
-fixed-order step), on an executor: inline in the calling thread, or on the
-thread or process pool that :class:`ParallelDispatcher` is lent or builds
-from ``workers``/``backend``.  Back in the calling thread the fresh answers
+fixed-order step): inline in the calling thread, or as tasks on the
+process pool that :class:`ParallelDispatcher` is lent or builds from
+``workers``.  Back in the calling thread the fresh answers
 are stored in the cache and the outcomes merged in sequent order, so
 outcomes, per-prover :class:`ProverStats` and cache counters do not depend
 on the executor.  (One exception: without ``dedup``, a sequent repeated in
@@ -30,9 +30,9 @@ is stored before the next sequent's scan.)  Replayed answers count as
 cache hits and never as :class:`ProverStats` attempts (the prover did not
 run).
 
-Only two things differ between executors: how a task gets its portfolio
-(the dispatcher's own inline, one per worker thread, one per worker process)
-and how it gets its deadline.  Per-sequent budgets are *enforced*:
+Only two things differ between inline and pool chains: how a chain gets
+its portfolio (the dispatcher's own inline, one per worker process) and how
+it gets its deadline.  Per-sequent budgets are *enforced*:
 ``sequent_budget=T`` turns into a :class:`repro.provers.base.Deadline`
 shared by the whole chain of one sequent, bounded by the batch-level
 ``deadline`` passed to ``prove_all``, and every prover runs under the
@@ -49,9 +49,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..vcgen.sequent import Sequent
 from .base import Deadline, Prover, ProverAnswer, ProverStats, Verdict, registry
@@ -98,12 +98,29 @@ def resolve_prover_names(names: Sequence[str]) -> List[str]:
 
 
 def make_provers(names: Sequence[str], **options) -> List[Prover]:
-    """Instantiate the provers named on the command line, in order."""
+    """Instantiate the provers named on the command line, in order.
+
+    ``options`` maps a prover — engine name or alias — to its keyword
+    options.  Options for a known prover that is not in ``names`` are
+    allowed (one options dict can serve several portfolios); a key that
+    names no prover is an error, not a silently ignored setting.
+    """
     _register_default_provers()
-    provers = []
-    for name in resolve_prover_names(names):
-        provers.append(registry.create(name, **options.get(name, {})))
-    return provers
+    known = registry.known()
+    by_engine: Dict[str, dict] = {}
+    for key, value in options.items():
+        engine = resolve_prover_names([key])[0]
+        if engine not in known:
+            raise ValueError(
+                f"prover options for unknown prover {key!r}; known provers: "
+                f"{', '.join(known)}; aliases: {', '.join(PROVER_ALIASES)}"
+            )
+        if engine in by_engine:
+            raise ValueError(f"prover options for {engine!r} given twice (via {key!r})")
+        by_engine[engine] = value
+    return [
+        registry.create(name, **by_engine.get(name, {})) for name in resolve_prover_names(names)
+    ]
 
 
 @dataclass
@@ -628,22 +645,10 @@ class Dispatcher:
         self.ordering = ordering
         self.race_stagger = race_stagger
         self._by_name = {prover.name: prover for prover in self.provers}
-
-    @classmethod
-    def from_names(
-        cls,
-        names: Sequence[str] = DEFAULT_ORDER,
-        race: int = 1,
-        ordering: Optional[ProverOrdering] = None,
-        race_stagger: float = DEFAULT_RACE_STAGGER,
-        **options,
-    ) -> "Dispatcher":
-        return cls(
-            make_provers(names, **options),
-            race=race,
-            ordering=ordering,
-            race_stagger=race_stagger,
-        )
+        # The portfolio runs one chain at a time, as in a worker process: a
+        # prover may keep per-attempt state on the instance (the interactive
+        # kernel's deadline), and the daemon's inline lanes share dispatchers.
+        self._portfolio_lock = threading.Lock()
 
     def prove_all(
         self, sequents: Sequence[Sequent], deadline: Optional[Deadline] = None
@@ -692,7 +697,7 @@ class Dispatcher:
             # average busy fraction, the batch's prover time spread across
             # the pool.
             result.worker_utilization = {
-                f"{self.backend}-pool-avg": result.cpu_time / self.workers / result.wall_time
+                "process-pool-avg": result.cpu_time / self.workers / result.wall_time
             }
         return result
 
@@ -726,11 +731,13 @@ class Dispatcher:
         deadline: Optional[Deadline],
     ) -> Union[SequentOutcome, Future]:
         """Run the chain of the open provers (portfolio indices, in chain
-        order) inline, on this dispatcher's own portfolio."""
-        return _race_prover_chain(
-            [self.provers[index] for index in open_], sequent, self.race,
-            _chain_deadline(self.sequent_budget, deadline), self.race_stagger,
-        )
+        order) inline, on this dispatcher's own portfolio.  The chain's
+        deadline starts once the portfolio is free."""
+        with self._portfolio_lock:
+            return _race_prover_chain(
+                [self.provers[index] for index in open_], sequent, self.race,
+                _chain_deadline(self.sequent_budget, deadline), self.race_stagger,
+            )
 
     def _scan_cache(self, sequent: Sequent) -> Tuple[List[ProverAnswer], List[int]]:
         """The one cache scan: every prover is looked up, in chain order,
@@ -788,79 +795,26 @@ class Dispatcher:
 
 
 class ParallelDispatcher(Dispatcher):
-    """A :class:`Dispatcher` whose chains run on a worker pool.
+    """A :class:`Dispatcher` whose chains run on a process pool.
 
-    ``backend="thread"`` (the default) shares one process: each worker
-    thread builds its own prover portfolio once (provers may carry mutable
-    state, e.g. the interactive lemma store).  The bundled provers are pure
-    Python, so under the GIL the thread backend overlaps little CPU-bound
-    prover work; for true multi-core scaling use ``backend="process"``,
-    which needs construction via :meth:`from_names` so worker processes can
-    rebuild the portfolio.
+    Built from prover names and options, from which each worker process
+    rebuilds the portfolio once (``_process_chain``).  Each chain gets its
+    own process and time slice, as Jahob's external provers do.
 
-    The pool is ``executor=`` when one is lent — a long-lived pool matching
-    the backend, never shut down here (e.g. the verify daemon's prover farm,
-    shared by every batch lane; its workers persist across batches, so
-    per-thread and per-process portfolios are built once) — or else one of
-    ``workers`` workers built for each ``prove_all`` call.  ``workers=1``
-    with no executor runs the chains inline: a pool of one would only make
-    the calling thread wait.  Whatever the executor, the cache scan, the
-    cache stores and the merge happen in the calling thread, so outcomes,
-    statistics and cache counters match the inline :class:`Dispatcher`.
+    The pool is ``executor=`` when one is lent — a long-lived pool, never
+    shut down here, whose workers keep their portfolios across batches (the
+    verify daemon's farm) — or else one of ``workers`` processes built for
+    each ``prove_all`` call.  ``workers=1`` with no executor runs the
+    chains inline: a pool of one would only make the calling thread wait.
+    Whatever the executor, the cache scan, the cache stores and the merge
+    happen in the calling thread, so outcomes, statistics and cache
+    counters match the inline :class:`Dispatcher`.
     """
 
     def __init__(
         self,
-        prover_factory: Callable[[], List[Prover]],
-        workers: Optional[int] = None,
-        backend: str = "thread",
-        cache: Optional[SequentCache] = None,
-        sequent_budget: Optional[float] = None,
-        dedup: bool = False,
-        static_tier: bool = False,
-        race: int = 1,
-        ordering: Optional[ProverOrdering] = None,
-        race_stagger: float = DEFAULT_RACE_STAGGER,
-        executor: Optional[Executor] = None,
-        _names: Optional[List[str]] = None,
-        _options: Optional[dict] = None,
-    ) -> None:
-        if backend not in ("thread", "process"):
-            raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")
-        if backend == "process" and _names is None:
-            raise ValueError("backend='process' requires ParallelDispatcher.from_names(...)")
-        super().__init__(
-            prover_factory(),
-            cache=cache,
-            sequent_budget=sequent_budget,
-            dedup=dedup,
-            static_tier=static_tier,
-            race=race,
-            ordering=ordering,
-            race_stagger=race_stagger,
-        )
-        self._factory = prover_factory
-        self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
-        self.backend = backend
-        self.executor = executor
-        self._names = list(_names) if _names is not None else None
-        self._options = dict(_options) if _options is not None else {}
-        # Instance-level (not call-local) per-thread portfolios: with a
-        # persistent executor the same worker threads serve many prove_all
-        # calls, so their portfolios survive across batches.  A worker thread
-        # runs one task at a time, so a portfolio is never shared.
-        self._worker_local = threading.local()
-
-    # The one implementation, bound as this class's own attribute so that
-    # instrumenting either class's entry point never wraps the other's.
-    prove_all = Dispatcher.prove_all
-
-    @classmethod
-    def from_names(
-        cls,
         names: Sequence[str] = DEFAULT_ORDER,
         workers: Optional[int] = None,
-        backend: str = "thread",
         cache: Optional[SequentCache] = None,
         sequent_budget: Optional[float] = None,
         dedup: bool = False,
@@ -870,12 +824,11 @@ class ParallelDispatcher(Dispatcher):
         race_stagger: float = DEFAULT_RACE_STAGGER,
         executor: Optional[Executor] = None,
         **options,
-    ) -> "ParallelDispatcher":
-        resolved = resolve_prover_names(names)
-        return cls(
-            lambda: make_provers(resolved, **options),
-            workers=workers,
-            backend=backend,
+    ) -> None:
+        self._names = resolve_prover_names(names)
+        self._options = options
+        super().__init__(
+            make_provers(self._names, **options),
             cache=cache,
             sequent_budget=sequent_budget,
             dedup=dedup,
@@ -883,20 +836,37 @@ class ParallelDispatcher(Dispatcher):
             race=race,
             ordering=ordering,
             race_stagger=race_stagger,
-            executor=executor,
-            _names=resolved,
-            _options=options,
         )
+        self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
+        self.executor = executor
+
+    # The one implementation, bound as this class's own attribute so that
+    # instrumenting either class's entry point never wraps the other's.
+    prove_all = Dispatcher.prove_all
+
+    @classmethod
+    def from_names(
+        cls, names: Sequence[str] = DEFAULT_ORDER, backend: str = "process", **kwargs
+    ) -> "ParallelDispatcher":
+        """The constructor, for callers that still name the executor with
+        ``backend``: only ``"process"`` is accepted."""
+        if backend != "process":
+            raise ValueError(
+                f"backend {backend!r} is not available: the thread backend was "
+                "retired; chains run inline (workers=1) or on a process pool"
+            )
+        return cls(names, **kwargs)
 
     def _open_pool(self) -> Tuple[Optional[Executor], bool]:
         if self.executor is not None:
             return self.executor, False
         if self.workers == 1:
             return None, False
-        if self.backend == "process":
-            return ProcessPoolExecutor(max_workers=self.workers), True
-        pool = ThreadPoolExecutor(max_workers=self.workers, thread_name_prefix="prover-worker")
-        return pool, True
+        # Imported here: ``multiprocessing`` is only worth loading once a
+        # pool is actually built.
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(max_workers=self.workers), True
 
     def _run(
         self,
@@ -906,12 +876,10 @@ class ParallelDispatcher(Dispatcher):
         deadline: Optional[Deadline],
     ) -> Union[SequentOutcome, Future]:
         """Submit the open provers' chain as a pool task (inline without a
-        pool).  A process task gets the sequent budget clipped to the batch
+        pool).  The task gets the sequent budget clipped to the batch
         deadline now; none is submitted once that deadline has passed."""
         if pool is None:
             return super()._run(pool, sequent, open_, deadline)
-        if self.backend == "thread":
-            return pool.submit(self._thread_chain, sequent, open_, deadline)
         budget = self.sequent_budget
         if deadline is not None:
             slack = deadline.remaining()
@@ -921,17 +889,4 @@ class ParallelDispatcher(Dispatcher):
         return pool.submit(
             _process_chain,
             (self._names, self._options, open_, sequent, budget, self.race, self.race_stagger),
-        )
-
-    def _thread_chain(
-        self, sequent: Sequent, open_: List[int], deadline: Optional[Deadline]
-    ) -> SequentOutcome:
-        """The chain task of a pool thread: the thread's own portfolio, and
-        a chain deadline that starts when the task does."""
-        provers = getattr(self._worker_local, "provers", None)
-        if provers is None:
-            provers = self._worker_local.provers = self._factory()
-        return _race_prover_chain(
-            [provers[index] for index in open_], sequent, self.race,
-            _chain_deadline(self.sequent_budget, deadline), self.race_stagger,
         )

@@ -29,10 +29,11 @@ def _announce(server: VerifyServer) -> None:
         else ""
     )
     service = server.service
+    farm = f"{service.workers} process workers" if service.workers > 1 else "inline"
     print(
         f"verify daemon on {server.host}:{server.port} "
         f"(store: {where}, {store.shards} shards; window {server.window}s; "
-        f"{service.lanes} lanes x {service.workers} {service.backend} workers"
+        f"{service.lanes} lanes, farm: {farm}"
         f"{compaction})",
         flush=True,
     )
@@ -68,11 +69,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="prover farm width shared by all lanes (default: one per core)",
-    )
-    parser.add_argument(
-        "--backend", choices=("thread", "process"), default=None,
-        help="farm backend (default: process when the farm is wider than 1)",
+        help="prover farm width shared by all lanes: worker processes, or "
+        "inline on the lane threads with 1 (default: one per core)",
     )
     parser.add_argument(
         "--request-workers", type=int, default=8,
@@ -114,7 +112,6 @@ def main() -> None:
         max_batch=args.max_batch,
         lanes=args.lanes,
         workers=args.workers or None,
-        backend=args.backend,
         request_workers=args.request_workers,
         race=args.race,
         max_request_bytes=args.max_request_bytes,

@@ -17,12 +17,12 @@ sharded verdict store:
   configuration and picks their verdicts from the store once that dispatch
   lands (``ServiceStats.live_reproofs == 0`` pins this across lanes).
 * The prover farm is real: batch dispatch always runs a
-  :class:`repro.provers.dispatcher.ParallelDispatcher` whose worker pool is
-  *persistent* — one process pool sized to the machine (``workers``,
-  ``backend="process"`` by default on multi-core hosts) shared by every lane,
-  or one thread pool per cached dispatcher for ``backend="thread"`` — so
-  workers and their per-worker prover portfolios are reused across batches
-  instead of being rebuilt per dispatch.
+  :class:`repro.provers.dispatcher.ParallelDispatcher`, and when the farm is
+  wider than one worker (``workers``, one per core by default) its pool is
+  *persistent* — one process pool shared by every lane, so worker processes
+  and their per-process prover portfolios are reused across batches
+  instead of being rebuilt per dispatch.  With ``workers=1`` there is no
+  farm: each lane runs its batch's chains inline on its own thread.
 * :class:`ShardedVerdictStore` (``repro.server.store``) backs the verdicts:
   content-addressed by structural digest, N shard directories with per-shard
   locks and LRU tiers, safe under concurrent multi-process access — several
@@ -122,8 +122,9 @@ from .wire import (
 DEFAULT_LANES = 4
 
 #: Cached per-config dispatchers (LRU): above this many distinct prover
-#: configurations the least-recently-dispatched one is dropped (and its
-#: thread pool, for the thread backend, shut down).
+#: configurations the least-recently-used one is dropped.  A dispatcher
+#: owns no pool, so dropping one mid-dispatch is harmless: the lane using
+#: it keeps its reference, and only the prover portfolio is freed after.
 _MAX_CACHED_DISPATCHERS = 32
 
 #: Seconds between periodic store compactions (when disk caps are set).
@@ -223,7 +224,6 @@ class VerifyService:
         max_batch: int = 512,
         lanes: int = DEFAULT_LANES,
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
         race: int = 1,
         ordering: Optional[ProverOrdering] = None,
     ) -> None:
@@ -231,16 +231,8 @@ class VerifyService:
         self.window = window
         self.max_batch = max_batch
         self.lanes = max(1, int(lanes))
-        # The farm defaults to the machine: every core a process worker.  On
-        # a single core the thread backend avoids pointless fork overhead.
+        # The farm defaults to the machine: every core a process worker.
         self.workers = max(1, int(workers)) if workers else (os.cpu_count() or 1)
-        self.backend = backend if backend is not None else (
-            "process" if self.workers > 1 else "thread"
-        )
-        if self.backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; use 'thread' or 'process'"
-            )
         # Racing is a server-wide *scheduling* knob, deliberately not part
         # of ``_config_key``: it never changes which verdicts are computed
         # (contended TIMEOUTs are truncated and never stored), so racing
@@ -264,20 +256,15 @@ class VerifyService:
         # thread here while its prove_all blocks (the real parallelism lives
         # in the shared farm below).
         self._executor = ThreadPoolExecutor(self.lanes, thread_name_prefix="verify-lane")
-        # The persistent prover farm (process backend): one pool shared by
-        # every lane and every configuration, its workers — and their
-        # per-process portfolio caches — reused across batches.
+        # The persistent prover farm: one process pool shared by every lane
+        # and every configuration, its workers — and their per-process
+        # portfolio caches — reused across batches.  A farm of one would
+        # only make the lane wait, so ``workers=1`` dispatches inline.
         self._farm: Optional[ProcessPoolExecutor] = (
-            ProcessPoolExecutor(max_workers=self.workers)
-            if self.backend == "process"
-            else None
+            ProcessPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
         )
-        # Per-configuration dispatcher cache (LRU): the dispatcher, and the
-        # persistent thread pool it owns when the backend is "thread".
-        self._dispatchers: "OrderedDict[str, Tuple[ParallelDispatcher, Optional[ThreadPoolExecutor]]]" = (
-            OrderedDict()
-        )
-        self._dispatching: Dict[str, int] = {}
+        # Per-configuration dispatcher cache (LRU).
+        self._dispatchers: "OrderedDict[str, ParallelDispatcher]" = OrderedDict()
         self._lane_tasks: Dict[int, asyncio.Task] = {}
         self._lane_counter = 0
         # The cross-lane single-flight registry: (digest, config key) ->
@@ -352,9 +339,6 @@ class VerifyService:
                 request.future.set_exception(ServiceStopped("service stopped"))
         self._pending.clear()
         self._executor.shutdown(wait=True)
-        for _, pool in self._dispatchers.values():
-            if pool is not None:
-                pool.shutdown(wait=False)
         self._dispatchers.clear()
         if self._farm is not None:
             self._farm.shutdown(wait=True)
@@ -510,6 +494,10 @@ class VerifyService:
         outcomes: List[Optional[SequentOutcome]] = [None] * len(merged)
         deferred: Set[str] = set()
         group_started = loop.time()
+        # Built before any digest is claimed: a configuration the provers
+        # reject fails here, leaving no claim behind for later requests to
+        # wait on.
+        dispatcher = self._dispatcher_for(key, first)
 
         pending = list(range(len(merged)))
         while pending:
@@ -544,8 +532,6 @@ class VerifyService:
                 claimed[digest] = event
                 mine.append(index)
             if mine:
-                dispatcher = self._dispatcher_for(key, first)
-                self._dispatching[key] = self._dispatching.get(key, 0) + 1
                 try:
                     result = await loop.run_in_executor(
                         self._executor,
@@ -556,11 +542,6 @@ class VerifyService:
                         ),
                     )
                 finally:
-                    count = self._dispatching.get(key, 1) - 1
-                    if count:
-                        self._dispatching[key] = count
-                    else:
-                        self._dispatching.pop(key, None)
                     # Verdicts are in the store (prove_all stores before
                     # returning), so deferring lanes may now replay them.
                     for digest, event in claimed.items():
@@ -595,45 +576,28 @@ class VerifyService:
     def _dispatcher_for(self, key: str, request: _PendingRequest) -> ParallelDispatcher:
         """The cached dispatcher of one configuration (built on first use).
 
-        Process backend: every dispatcher borrows the shared farm.  Thread
-        backend: each dispatcher owns a persistent thread pool, so worker
-        threads — and their thread-local portfolios — survive across
-        batches.  Only called from the event loop, so no lock is needed.
+        Every dispatcher borrows the shared farm, or dispatches inline on
+        the lane's thread when there is none.  Only called from the event
+        loop, so no lock is needed.
         """
-        entry = self._dispatchers.get(key)
-        if entry is not None:
+        dispatcher = self._dispatchers.get(key)
+        if dispatcher is not None:
             self._dispatchers.move_to_end(key)
-            return entry[0]
-        pool: Optional[ThreadPoolExecutor] = None
-        if self.backend == "process":
-            executor = self._farm
-        else:
-            pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="prover-worker"
-            )
-            executor = pool
-        dispatcher = ParallelDispatcher.from_names(
+            return dispatcher
+        dispatcher = ParallelDispatcher(
             request.names,
             workers=self.workers,
-            backend=self.backend,
             cache=self.store,
             sequent_budget=request.sequent_budget,
             dedup=True,
             race=self.race,
             ordering=self.ordering,
-            executor=executor,
+            executor=self._farm,
             **request.options,
         )
-        self._dispatchers[key] = (dispatcher, pool)
-        while len(self._dispatchers) > _MAX_CACHED_DISPATCHERS:
-            for old_key in self._dispatchers:
-                if not self._dispatching.get(old_key):
-                    _, old_pool = self._dispatchers.pop(old_key)
-                    if old_pool is not None:
-                        old_pool.shutdown(wait=False)
-                    break
-            else:
-                break  # every cached dispatcher is mid-dispatch; grow past the cap
+        self._dispatchers[key] = dispatcher
+        if len(self._dispatchers) > _MAX_CACHED_DISPATCHERS:
+            self._dispatchers.popitem(last=False)
         return dispatcher
 
     def _account(self, result: DispatchResult, key: str) -> None:
@@ -733,7 +697,6 @@ class VerifyServer:
         max_batch: int = 512,
         lanes: int = DEFAULT_LANES,
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
         request_workers: int = 8,
         drain_timeout: float = 30.0,
         race: int = 1,
@@ -755,7 +718,6 @@ class VerifyServer:
         self.max_batch = max_batch
         self.lanes = lanes
         self.workers = workers
-        self.backend = backend
         self.race = max(1, int(race))
         self.max_request_bytes = max(1024, int(max_request_bytes))
         self.compact_interval = compact_interval
@@ -830,7 +792,6 @@ class VerifyServer:
             max_batch=self.max_batch,
             lanes=self.lanes,
             workers=self.workers,
-            backend=self.backend,
             race=self.race,
         )
         await self.service.start()
@@ -1128,7 +1089,6 @@ class VerifyServer:
                 "peak_busy": self.service.stats.peak_lanes_busy,
                 "queue_depth": self.service.pending,
                 "workers": self.service.workers,
-                "backend": self.service.backend,
             }
             if self.service is not None
             else {}

@@ -69,7 +69,7 @@ def test_static_answers_bypass_and_never_touch_the_cache():
     assert again.cache_stats.hits == 1
 
 
-def test_parallel_thread_backend_matches_sequential():
+def test_parallel_process_pool_matches_sequential():
     sequential = Dispatcher(make_provers(["syntactic"]), static_tier=True).prove_all(
         _sequents()
     )

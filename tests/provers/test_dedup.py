@@ -99,7 +99,7 @@ def test_dedup_matches_warm_cache_accounting():
     assert deduped.proved_live == cached.proved_live
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_parallel_dedup_matches_sequential_dedup(backend, workers):
     seqs = _batch_with_duplicates()

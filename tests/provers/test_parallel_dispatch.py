@@ -1,10 +1,15 @@
 """The parallel cached dispatch subsystem: cache semantics, stats parity
 across executors, and the stable sequent digests that key the cache."""
 
+import os
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.form.parser import parse_formula as parse
-from repro.provers.base import ProverAnswer, Verdict
+from repro.provers.base import Prover, ProverAnswer, Verdict, registry
 from repro.provers.cache import CacheStats, SequentCache
 from repro.provers.dispatcher import (
     Dispatcher,
@@ -331,9 +336,6 @@ def test_cache_scan_parity_across_executors_and_race():
             "inline": Dispatcher(
                 make_provers(names), cache=_partly_warm_cache(seqs), **knobs
             ),
-            "thread": ParallelDispatcher.from_names(
-                names, workers=2, backend="thread", cache=_partly_warm_cache(seqs), **knobs
-            ),
             "process": ParallelDispatcher.from_names(
                 names, workers=2, backend="process", cache=_partly_warm_cache(seqs), **knobs
             ),
@@ -349,9 +351,9 @@ def test_cache_scan_parity_across_executors_and_race():
         assert counters == reference, key
 
 
-def test_parallel_process_backend_requires_names():
-    with pytest.raises(ValueError):
-        ParallelDispatcher(lambda: make_provers(["syntactic"]), backend="process")
+def test_from_names_rejects_the_retired_thread_backend():
+    with pytest.raises(ValueError, match="thread backend was retired"):
+        ParallelDispatcher.from_names(["syntactic"], workers=2, backend="thread")
 
 
 def test_parallel_rejects_unknown_backend():
@@ -390,3 +392,77 @@ def test_verify_plumbs_workers_and_cache():
     assert second.workers == 2
     text = second.format()
     assert "Sequent cache" in text and "workers" in text
+
+
+#: The pid of the test process, inherited unchanged by forked workers.
+_TEST_PID = os.getpid()
+
+
+class ElsewhereProver(Prover):
+    """Proves a sequent only when it runs outside the test process."""
+
+    name = "elsewhere"
+
+    def attempt(self, sequent, deadline=None):
+        pid = os.getpid()
+        verdict = Verdict.UNKNOWN if pid == _TEST_PID else Verdict.PROVED
+        return ProverAnswer(verdict, self.name, detail=f"pid {pid}")
+
+
+def test_verify_workers_run_chains_in_other_processes():
+    """``workers=2`` gives every chain its own process (its own core and
+    its full time slice), never a thread of the calling process; the
+    prover is registered before the pool forks, so the workers see it."""
+    from repro import suite, verify
+
+    make_provers(["syntactic"])  # populate the default registry first
+    registry.register("elsewhere", ElsewhereProver)
+    kwargs = dict(
+        method="addNew", class_name="SizedList", provers=["elsewhere"],
+        always_syntactic_first=False,
+    )
+    source = suite.source("SizedList")
+    inline = verify(source, **kwargs)
+    pooled = verify(source, workers=2, **kwargs)
+    assert pooled.total_sequents == inline.total_sequents > 0
+    assert inline.proved_sequents == 0
+    assert pooled.proved_sequents == pooled.total_sequents
+
+
+class OverlapProbe(Prover):
+    """Records the most of its attempts that ran at the same time."""
+
+    name = "probe"
+
+    def __init__(self, timeout: float = 10.0) -> None:
+        super().__init__(timeout=timeout)
+        self.active = 0
+        self.peak = 0
+
+    def attempt(self, sequent, deadline=None):
+        self.active += 1
+        self.peak = max(self.peak, self.active)
+        time.sleep(0.002)
+        self.active -= 1
+        return ProverAnswer(Verdict.UNKNOWN, self.name)
+
+
+def test_inline_portfolio_runs_one_chain_at_a_time():
+    """Threads sharing one dispatcher (the daemon's inline lanes of one
+    configuration) never run its portfolio concurrently: a prover may keep
+    per-attempt state on the instance."""
+    probe = OverlapProbe()
+    dispatcher = Dispatcher([probe])
+    batch = [sequent([], parse(f"q{k}")) for k in range(20)]
+    threads = [threading.Thread(target=dispatcher.prove_all, args=(batch,)) for _ in range(6)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert probe.peak == 1

@@ -99,3 +99,28 @@ def test_instantiation_mode_strings_are_rejected(mode):
     are not accepted in place of an :class:`InstantiationConfig`."""
     with pytest.raises(TypeError, match="InstantiationConfig"):
         SmtProver(instantiation=mode)
+
+
+def test_alias_option_key_reaches_its_engine():
+    """``z3`` names the smt engine in the provers list and, the same way,
+    as an option key."""
+    (smt,) = make_provers(["z3"], z3={"timeout": 0.5})
+    assert smt.name == "smt"
+    assert smt.timeout == 0.5
+
+
+def test_options_for_a_known_prover_outside_the_list_are_allowed():
+    """One options dict serves several portfolios (the Figure 15 table
+    and the benchmark share one)."""
+    (syntactic,) = make_provers(["syntactic"], smt={"timeout": 0.5}, spass={"timeout": 1.0})
+    assert syntactic.name == "syntactic"
+
+
+def test_misspelt_option_key_is_rejected_by_name():
+    with pytest.raises(ValueError, match="smtt"):
+        make_provers(["smt"], smtt={"timeout": 0.5})
+
+
+def test_option_key_given_under_engine_and_alias_is_rejected():
+    with pytest.raises(ValueError, match="twice"):
+        make_provers(["smt"], smt={"timeout": 0.5}, z3={"timeout": 1.0})

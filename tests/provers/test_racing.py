@@ -1,11 +1,11 @@
 """Racing dispatch (race=K): deterministic winners, prompt cancellation via
 the shared-token Deadline contract, CANCELLED accounting (never cached,
-never a cache miss), wave fall-through completeness, and cross-backend
+never a cache miss), wave fall-through completeness, and inline/process
 stats parity on a seeded corpus.
 
 The scripted provers here exercise the racing machinery with controlled
-timing; the cross-backend property tests use the real portfolio so the
-process backend (which rebuilds provers from the registry) is covered too.
+timing; the parity property tests use the real portfolio so the process
+pool (whose workers rebuild provers from the registry) is covered too.
 """
 
 import random
@@ -331,7 +331,7 @@ def test_dispatcher_observes_outcomes_into_ordering():
     assert ranked[0] == 1  # instant has the only proof record
 
 
-# -- cross-backend determinism (seeded corpus) --------------------------------
+# -- inline/process determinism (seeded corpus) -------------------------------
 
 PROVERS = ["syntactic", "smt"]
 OPTIONS = {"smt": {"timeout": 2.0}}
@@ -371,25 +371,19 @@ def _race_counters(result):
 
 @pytest.mark.parametrize("seed", [7, 1009])
 def test_racing_stats_identical_across_backends(seed):
-    """The seeded-corpus determinism property: sequential, thread-parallel
-    and process-parallel racing dispatch agree on outcomes, per-prover
-    stats and the racing counters (merge order is the sequent order, and
-    winners are wave-deterministic, so backends cannot drift)."""
+    """The seeded-corpus determinism property: inline and process-parallel
+    racing dispatch agree on outcomes, per-prover stats and the racing
+    counters (merge order is the sequent order, and winners are
+    wave-deterministic, so the executors cannot drift)."""
     corpus = _seeded_corpus(seed)
     sequential = Dispatcher(
         make_provers(PROVERS, **OPTIONS), race=2
     ).prove_all(corpus)
-    threaded = ParallelDispatcher.from_names(
-        PROVERS, workers=2, backend="thread", race=2, **OPTIONS
-    ).prove_all(corpus)
     processed = ParallelDispatcher.from_names(
-        PROVERS, workers=2, backend="process", race=2, **OPTIONS
+        PROVERS, workers=2, race=2, **OPTIONS
     ).prove_all(corpus)
-    assert _shape(threaded) == _shape(sequential)
     assert _shape(processed) == _shape(sequential)
-    assert _stat_counts(threaded) == _stat_counts(sequential)
     assert _stat_counts(processed) == _stat_counts(sequential)
-    assert _race_counters(threaded) == _race_counters(sequential)
     assert _race_counters(processed) == _race_counters(sequential)
 
 

@@ -15,8 +15,8 @@ The contract pinned here:
   slow prover to finish on its own schedule.
 
 All tests drive :class:`VerifyService` directly under asyncio with a
-registered in-process test prover, so they run on the thread backend (the
-process farm cannot see a prover registered only in the test process).
+registered in-process test prover and ``workers=1``: no farm, so each lane
+runs its chains inline on its own thread, where the test prover is visible.
 """
 
 import asyncio
@@ -62,7 +62,6 @@ def _service(**kwargs):
     kwargs.setdefault("window", 0.01)
     kwargs.setdefault("lanes", 2)
     kwargs.setdefault("workers", 1)
-    kwargs.setdefault("backend", "thread")
     return VerifyService(ShardedVerdictStore(), **kwargs)
 
 
@@ -75,6 +74,27 @@ async def _wait_for(predicate, timeout=5.0):
     while not predicate():
         assert not deadline.expired(), "condition never became true"
         await asyncio.sleep(0.005)
+
+
+# -- the farm ------------------------------------------------------------------
+
+
+def test_single_worker_service_builds_no_farm_and_answers():
+    """``workers=1`` starts no worker process: each lane runs its chains
+    inline on its own thread."""
+
+    async def run():
+        service = await _service(workers=1).start()
+        try:
+            assert service._farm is None
+            result = await service.prove([_syntactic_seq(0)], provers=["syntactic"])
+            assert result.proved == 1
+            (dispatcher,) = service._dispatchers.values()
+            assert dispatcher.executor is None
+        finally:
+            await service.stop()
+
+    asyncio.run(run())
 
 
 # -- lane overlap --------------------------------------------------------------

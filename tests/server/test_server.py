@@ -90,6 +90,21 @@ def test_removed_prover_option_is_rejected_and_the_connection_stays_usable(clien
     assert answer["proved"] == 1
 
 
+def test_unknown_prover_option_key_is_rejected_and_the_connection_stays_usable(client):
+    """Options under a key that names no prover (``smtt``) fail the
+    request with an error naming the key, every time: the failed batch
+    leaves no in-flight claim behind for the retry to wait on."""
+    for _ in range(2):
+        with pytest.raises(VerifyServiceError, match="smtt"):
+            client.prove_sequents(
+                _corpus(1), provers=PROVERS, prover_options={"smtt": {"timeout": 2.0}},
+                budget=10.0,  # a leaked claim would stall the retry this long
+            )
+    assert client.ping()
+    answer = client.prove_sequents(_corpus(1), provers=PROVERS, prover_options=OPTIONS)
+    assert answer["proved"] == 1
+
+
 # -- raw sequent batches ------------------------------------------------------
 
 
